@@ -7,6 +7,7 @@ and the generation argument built from them, and emits deterministic
 reports.  All verification happens in the homology representation.
 """
 
+from .chain import StabilizerChain
 from .curves import (
     IntersectionTable,
     NamedCurve,

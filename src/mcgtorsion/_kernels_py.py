@@ -12,6 +12,8 @@ Key encoding (must match the compiled kernel exactly):
 
 from __future__ import annotations
 
+from operator import mul
+
 
 def key_regime(p, n):
     return "u64" if p == 2 and n * n <= 64 else "bytes"
@@ -83,9 +85,7 @@ def _closure_p2(gens, n, cap, with_parents):
 
 def _mul_mod(a, b, p, n):
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in bt) for row in a)
 
 
 def _closure_general(gens, p, n, cap, with_parents):

@@ -40,7 +40,8 @@ def build_parser():
     parser.add_argument("--orbit-cap", type=int, default=None,
                         help="bound on the orbit exploration (default 10*(3g-1)*g)")
     parser.add_argument("--enum-cap", type=int, default=None,
-                        help="bound on mod-p subgroup enumeration (default 2000000)")
+                        help="largest |Sp(2g,p)| certified by exact order; larger groups "
+                             "get the transitivity certificate (default 2000000)")
     parser.add_argument("--witness", action="store_true",
                         help="record generator words witnessing orbit and membership facts")
     parser.add_argument("--output", choices=("text", "structured"), default="text")
@@ -85,6 +86,40 @@ def _eval_word(g, text):
     return "\n".join(lines) + "\n"
 
 
+def _cap(flag_value, flag, env_name):
+    """A positive cap from its flag, else from its environment variable, else None."""
+    if flag_value is not None:
+        value, source = flag_value, flag
+    else:
+        text = os.environ.get(env_name)
+        if not text:
+            return None
+        source = env_name
+        try:
+            value = int(text)
+        except ValueError:
+            raise UsageError(f"{env_name} must be a positive integer, got {text!r}")
+    if value < 1:
+        raise UsageError(f"{source} must be a positive integer, got {value}")
+    return value
+
+
+def _write_atomic(path, text):
+    """Write text to path through a temporary file in the same directory."""
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    created = False
+    try:
+        with open(tmp, "x") as fh:
+            created = True
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if created:
+            os.unlink(tmp)
+        raise UsageError(f"cannot write --out {path}: {exc.strerror or exc}")
+
+
 def run(args):
     if args.genus is None or args.genus < 2:
         raise UsageError(f"genus must be >= 2, got {args.genus}")
@@ -102,12 +137,8 @@ def run(args):
     if checks is not None and "modp" in checks and args.prime is None:
         raise UsageError("--checks modp requires --prime")
 
-    orbit_cap = args.orbit_cap
-    if orbit_cap is None and os.environ.get("MCGTORSION_ORBIT_CAP"):
-        orbit_cap = int(os.environ["MCGTORSION_ORBIT_CAP"])
-    enum_cap = args.enum_cap
-    if enum_cap is None:
-        enum_cap = int(os.environ.get("MCGTORSION_ENUM_CAP", 2_000_000))
+    orbit_cap = _cap(args.orbit_cap, "--orbit-cap", "MCGTORSION_ORBIT_CAP")
+    enum_cap = _cap(args.enum_cap, "--enum-cap", "MCGTORSION_ENUM_CAP") or 2_000_000
 
     try:
         report, timings = full_theorem_report(
@@ -124,10 +155,9 @@ def run(args):
     env = report_mod.envelope(report, timings)
     text = (report_mod.emit_json(env) if args.output == "structured"
             else report_mod.emit_text(env))
-    sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_atomic(args.out, text)
+    sys.stdout.write(text)
     return 0 if report["passed"] else 1
 
 

@@ -67,7 +67,7 @@ def _format_check(name, section, lines):
                 lines.append(f"    rhs: {det.get('rhs_word')} = {det.get('rhs_matrix')}")
     elif name == "modp":
         lines.append(f"[modp] {status}: p = {section['p']}, mode = {section['mode']}")
-        if section["mode"] == "full-enumeration":
+        if section["mode"] == "exact-order":
             lines.append(
                 f"  expected order {section['expected_order']}, "
                 f"torsion image order {section['torsion_order']}, "

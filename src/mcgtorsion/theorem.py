@@ -4,8 +4,11 @@ Checks, per genus: the Luo decomposition of Ta2 Ta1^-1 into two
 involutions, the assembly of T_c1 from conjugates of Ta2 Ta1^-1 by the
 order-3 element, the single-orbit property of the Lickorish classes under
 the torsion group, and finite certificates that the generator images span
-the full symplectic group over a small prime (exact order by enumeration
-when that fits under the cap, transitivity on nonzero vectors otherwise).
+the full symplectic group over a small prime.  The mod-p certificate is
+exact order when |Sp(2g, p)| fits under the cap: stabilizer chains of the
+torsion and twist images give both orders exactly, and sifting each
+generator set through the other's chain decides membership both ways.
+Above the cap it falls back to transitivity on nonzero vectors.
 
 Everything here sees only the homology representation, so a passing run
 certifies necessary conditions of the generation statement; phenomena in
@@ -17,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
+from ._kernels_py import _row_table
+from .chain import StabilizerChain
 from .curves import lickorish_system
 from .symplectic import (
     alpha,
@@ -231,12 +236,36 @@ def modp_subgroup_order(generators, p, cap=2_000_000, with_parents=False, backen
     return (None if result.exceeded else result.size), result
 
 
-def modp_vector_orbit_size(generators, p, limit):
-    """Size of the orbit of the first basis vector among nonzero mod-p vectors."""
-    if not generators:
-        raise ValueError("need at least one generator")
-    n = generators[0].dim
-    mats = [reduce_mod_p(m, p) for m in generators]
+def _orbit_packed(mats, n, limit):
+    """Vector orbit over F_2 with each vector held as an int (bit k = entry k).
+
+    M v is the XOR of the columns of M picked out by v, read eight
+    coordinates at a time from per-chunk lookup tables.
+    """
+    maps = []
+    for m in mats:
+        cols = [sum(m[i][k] << i for i in range(n)) for k in range(n)]
+        chunks = [cols[c:c + 8] for c in range(0, n, 8)]
+        maps.append([_row_table(chunk, len(chunk)) for chunk in chunks])
+    seen = {1}
+    frontier = [1]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for tables in maps:
+                img = 0
+                for c, table in enumerate(tables):
+                    img ^= table[(v >> (8 * c)) & 0xFF]
+                if img not in seen:
+                    if len(seen) >= limit:
+                        return len(seen), True
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return len(seen), False
+
+
+def _orbit_generic(mats, p, n, limit):
     seed = (1,) + (0,) * (n - 1)
     seen = {seed}
     frontier = [seed]
@@ -252,6 +281,20 @@ def modp_vector_orbit_size(generators, p, limit):
                     nxt.append(img)
         frontier = nxt
     return len(seen), False
+
+
+def modp_vector_orbit_size(generators, p, limit):
+    """Size of the orbit of the first basis vector among nonzero mod-p vectors.
+
+    Returns (size, exceeded); the search stops once limit vectors are seen.
+    """
+    if not generators:
+        raise ValueError("need at least one generator")
+    n = generators[0].dim
+    mats = [reduce_mod_p(m, p) for m in generators]
+    if p == 2:
+        return _orbit_packed(mats, n, limit)
+    return _orbit_generic(mats, p, n, limit)
 
 
 def modp_transitivity(generators, p, limit=2_000_000):
@@ -272,32 +315,38 @@ def modp_transitivity(generators, p, limit=2_000_000):
     )
 
 
-def modp_certificate(g, p, enum_cap=2_000_000, with_witnesses=False, backend=None):
-    """Generation certificate mod p for the torsion set, full or transitivity mode."""
-    certs = theorem_generators(g)
+def modp_certificate(g, p, enum_cap=2_000_000, with_witnesses=False, certs=None):
+    """Generation certificate mod p for the torsion set, exact-order or transitivity mode.
+
+    certs defaults to theorem_generators(g); a subset gives a negative control.
+    """
+    if certs is None:
+        certs = theorem_generators(g)
     gens = [c.matrix for c in certs]
     expected = sp_modp_order(g, p)
     section = {"p": p, "expected_order": expected, "generators": [c.name for c in certs]}
     if expected <= enum_cap:
-        section["mode"] = "full-enumeration"
-        order, closure = modp_subgroup_order(gens, p, cap=enum_cap,
-                                             with_parents=with_witnesses, backend=backend)
-        section["torsion_order"] = order
+        section["mode"] = "exact-order"
         system = lickorish_system(g)
-        twist_gens = [u.twist for u in system.curves]
-        lk_order, lk_closure = modp_subgroup_order(twist_gens, p, cap=enum_cap,
-                                                   with_parents=with_witnesses,
-                                                   backend=backend)
+        mats = [reduce_mod_p(m, p) for m in gens]
+        twist_mats = [reduce_mod_p(u.twist, p) for u in system.curves]
+        torsion = StabilizerChain(mats, p)
+        twists = StabilizerChain(twist_mats, p)
+        order, lk_order = torsion.order(), twists.order()
+        section["torsion_order"] = order
         section["lickorish_order"] = lk_order
-        torsion_in_lk = all(lk_closure.contains(reduce_mod_p(m, p)) for m in gens)
-        lk_in_torsion = all(closure.contains(reduce_mod_p(m, p)) for m in twist_gens)
+        words = [torsion.sift(m) for m in twist_mats]
+        torsion_in_lk = all(twists.sift(m) is not None for m in mats)
         section["same_subgroup"] = (
-            order == lk_order and order is not None and torsion_in_lk and lk_in_torsion
+            order == lk_order and torsion_in_lk and all(w is not None for w in words)
         )
         if with_witnesses:
+            for word, target in zip(words, twist_mats):
+                if word is not None and torsion.evaluate(word) != target:
+                    raise AssertionError("membership witness does not replay mod p")
             section["membership_witnesses"] = {
-                f"T{u.name}": list(closure.witness(reduce_mod_p(u.twist, p)) or ())
-                for u in system.curves
+                f"T{u.name}": None if word is None else list(word)
+                for u, word in zip(system.curves, words)
             }
         passed = order == expected and lk_order == expected and section["same_subgroup"]
     else:
@@ -394,11 +443,12 @@ def full_theorem_report(g, prime=None, orbit_cap=None, enum_cap=2_000_000,
 
     if "torsion" in checks:
         t0 = time.perf_counter()
-        orders_ok = element_order(certs[1].matrix @ certs[0].matrix, g) == g
+        f2f1_order = element_order(certs[1].matrix @ certs[0].matrix, g)
+        orders_ok = f2f1_order == g
         report["checks"]["torsion"] = {
             "passed": orders_ok,
             "generator_count": len(certs),
-            "f2f1_order": element_order(certs[1].matrix @ certs[0].matrix, g),
+            "f2f1_order": f2f1_order,
             "certificates": [c.to_dict() for c in certs],
         }
         timings["torsion"] = time.perf_counter() - t0

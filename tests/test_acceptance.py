@@ -111,7 +111,7 @@ def test_criterion_5_mod2_generation_g3():
     section = modp_certificate(3, 2)
     expected = 512 * 3 * 15 * 63  # order formula q^(n^2) prod (q^{2i} - 1)
     assert expected == 1_451_520
-    assert section["mode"] == "full-enumeration"
+    assert section["mode"] == "exact-order"
     assert section["torsion_order"] == expected
     assert section["lickorish_order"] == expected
     assert section["same_subgroup"]

@@ -11,8 +11,8 @@ from mcgtorsion.theorem import full_theorem_report
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _run_cli(*args):
-    env = dict(os.environ)
+def _run_cli(*args, **env_overrides):
+    env = dict(os.environ, **env_overrides)
     env["PYTHONPATH"] = os.path.join(PKG_ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "mcgtorsion", *args],
@@ -108,6 +108,38 @@ def test_cli_out_file(tmp_path):
     assert proc.returncode == 0
     on_disk = json.loads(path.read_text())
     assert on_disk == json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("target", ["missing/report.txt", "existing_dir"])
+def test_cli_out_unwritable_is_usage_error(tmp_path, target):
+    (tmp_path / "existing_dir").mkdir()
+    proc = _run_cli("--genus", "3", "--checks", "relations", "--out", str(tmp_path / target))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write --out")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+    # the temporary file is removed when the final rename fails
+    assert [p.name for p in tmp_path.iterdir()] == ["existing_dir"]
+
+
+def test_cli_enum_cap_zero_rejected():
+    # a zero cap used to fall back silently to the weaker transitivity mode
+    proc = _run_cli("--genus", "3", "--checks", "modp", "--prime", "2", "--enum-cap", "0")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --enum-cap must be a positive integer, got 0\n"
+
+
+def test_cli_negative_orbit_cap_rejected():
+    proc = _run_cli("--genus", "4", "--checks", "theorem", "--orbit-cap", "-5")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --orbit-cap must be a positive integer, got -5\n"
+
+
+def test_cli_non_integer_env_cap_rejected():
+    proc = _run_cli("--genus", "3", "--checks", "modp", "--prime", "2",
+                    MCGTORSION_ENUM_CAP="abc")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: MCGTORSION_ENUM_CAP must be a positive integer, got 'abc'\n"
 
 
 def test_cli_eval_word():

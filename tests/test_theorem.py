@@ -169,7 +169,7 @@ def test_mod3_transitivity_small_genus():
 
 def test_modp_certificate_full_mode_g3():
     section = modp_certificate(3, 2)
-    assert section["mode"] == "full-enumeration"
+    assert section["mode"] == "exact-order"
     assert section["torsion_order"] == 1_451_520
     assert section["lickorish_order"] == 1_451_520
     assert section["same_subgroup"]
