@@ -12,7 +12,8 @@ Key encoding (must match the compiled kernel exactly):
 
 from __future__ import annotations
 
-from operator import mul
+from .chain import mul_mod
+from .symplectic import xor_table
 
 
 def key_regime(p, n):
@@ -34,17 +35,8 @@ def _bitrows(mat, n):
     return tuple(sum((row[j] & 1) << j for j in range(n)) for row in mat)
 
 
-def _row_table(gen_rows, n):
-    """table[r] = bitmask of (row r) * gen over F2, for every n-bit r."""
-    table = [0] * (1 << n)
-    for r in range(1, 1 << n):
-        low = r & -r
-        table[r] = table[r ^ low] ^ gen_rows[low.bit_length() - 1]
-    return table
-
-
 def _closure_p2(gens, n, cap, with_parents):
-    tables = [_row_table(_bitrows(g, n), n) for g in gens]
+    tables = [xor_table(_bitrows(g, n)) for g in gens]
     u64 = key_regime(2, n) == "u64"
 
     def key_of(rows):
@@ -83,11 +75,6 @@ def _closure_p2(gens, n, cap, with_parents):
     return seen, exceeded, parents
 
 
-def _mul_mod(a, b, p, n):
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) % p for col in bt) for row in a)
-
-
 def _closure_general(gens, p, n, cap, with_parents):
     gens = [tuple(tuple(x % p for x in row) for row in g) for g in gens]
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
@@ -101,7 +88,7 @@ def _closure_general(gens, p, n, cap, with_parents):
         for mat in frontier:
             cur_key = encode_key(mat, p, n) if with_parents else None
             for gi, gen in enumerate(gens):
-                new = _mul_mod(mat, gen, p, n)
+                new = mul_mod(mat, gen, p)
                 k = encode_key(new, p, n)
                 if k in seen:
                     continue

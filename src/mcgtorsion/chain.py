@@ -21,7 +21,11 @@ from __future__ import annotations
 from itertools import chain
 from operator import mul
 
-from ._kernels_py import _mul_mod
+
+def mul_mod(a, b, p):
+    """The product a b of two matrices over F_p, as tuples of rows."""
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in bt) for row in a)
 
 
 def _apply(mat, vec, p):
@@ -77,7 +81,7 @@ class StabilizerChain:
             # an invertible matrix has order below p^n
             if len(powers) >= self.p ** self.n:
                 raise ValueError("generator is not invertible mod p")
-            powers.append(_mul_mod(powers[-1], mat, self.p, self.n))
+            powers.append(mul_mod(powers[-1], mat, self.p))
         return powers
 
     def _element(self, mat, word):
@@ -115,7 +119,7 @@ class StabilizerChain:
             u = level.trans.get(_apply(h, level.base, self.p))
             if u is None:
                 break
-            h = _mul_mod(u[1], h, self.p, self.n)
+            h = mul_mod(u[1], h, self.p)
             used.append(u)
         return h, start + len(used), used
 
@@ -126,7 +130,7 @@ class StabilizerChain:
         that does not sift to the identity through the deeper levels, else
         None.
         """
-        p, n = self.p, self.n
+        p = self.p
         level = self._levels[i]
         gens, orbit, trans, done = level.gens, level.orbit, level.trans, level.done
         k = 0
@@ -136,16 +140,16 @@ class StabilizerChain:
                 s = gens[done[k]]
                 done[k] += 1
                 img = _apply(s[0], orbit[k], p)
-                su = _mul_mod(s[0], u[0], p, n)
+                su = mul_mod(s[0], u[0], p)
                 t = trans.get(img)
                 if t is None:
                     word = self._fold(s[2] + u[2])
-                    trans[img] = (su, _mul_mod(u[1], s[1], p, n), word,
+                    trans[img] = (su, mul_mod(u[1], s[1], p), word,
                                   self._fold(u[3] + s[3]))
                     orbit.append(img)
                     done.append(0)
                     continue
-                residue, j, used = self._strip(_mul_mod(t[1], su, p, n), i + 1)
+                residue, j, used = self._strip(mul_mod(t[1], su, p), i + 1)
                 if residue != self._ident:
                     word = self._fold(chain(*(v[3] for v in reversed(used)),
                                             t[3], s[2], u[2]))
@@ -186,5 +190,5 @@ class StabilizerChain:
         """The matrix G_{w0} G_{w1} ... mod p for a word over generator indices."""
         acc = self._ident
         for x in word:
-            acc = _mul_mod(acc, self.gens[x], self.p, self.n)
+            acc = mul_mod(acc, self.gens[x], self.p)
         return acc

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
+import tempfile
 
 from . import report as report_mod
 from .symplectic import SMALL_PRIMES
@@ -104,19 +106,39 @@ def _cap(flag_value, flag, env_name):
     return value
 
 
-def _write_atomic(path, text):
-    """Write text to path through a temporary file in the same directory."""
-    directory, name = os.path.split(os.path.abspath(path))
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    created = False
+def _write_out(path, text):
+    """Write text to path; a regular file is replaced atomically.
+
+    A new or regular file (after following symlinks) is written to a temp
+    file in its directory, synced and renamed over it, keeping the mode the
+    file has or would get.  Anything else (a device, a FIFO) is written
+    directly.
+    """
     try:
-        with open(tmp, "x") as fh:
-            created = True
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        if created:
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "w") as fh:
+                fh.write(text)
+            return
+        if os.path.exists(path):
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        else:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        target = os.path.realpath(path)
+        directory, name = os.path.split(target)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{name}.")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                os.fchmod(fh.fileno(), mode)
+                fh.write(text)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, target)
+        except BaseException:
             os.unlink(tmp)
+            raise
+    except OSError as exc:
         raise UsageError(f"cannot write --out {path}: {exc.strerror or exc}")
 
 
@@ -156,7 +178,7 @@ def run(args):
     text = (report_mod.emit_json(env) if args.output == "structured"
             else report_mod.emit_text(env))
     if args.out:
-        _write_atomic(args.out, text)
+        _write_out(args.out, text)
     sys.stdout.write(text)
     return 0 if report["passed"] else 1
 

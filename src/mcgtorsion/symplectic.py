@@ -265,6 +265,19 @@ def element_order(m, bound):
     return None
 
 
+def xor_table(rows):
+    """table[r] = XOR of rows[k] over the bits k set in r, for r < 2^len(rows).
+
+    With rows the bitmasks of a matrix over F_2, table[r] is the product of
+    the bit vector r with that matrix, so a product costs one lookup.
+    """
+    table = [0] * (1 << len(rows))
+    for r in range(1, len(table)):
+        low = r & -r
+        table[r] = table[r ^ low] ^ rows[low.bit_length() - 1]
+    return table
+
+
 def reduce_mod_p(m, p):
     """Entrywise reduction of a SympMatrix to tuples over F_p.
 

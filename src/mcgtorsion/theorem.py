@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from ._kernels_py import _row_table
 from .chain import StabilizerChain
 from .curves import lickorish_system
 from .symplectic import (
@@ -28,6 +27,7 @@ from .symplectic import (
     element_order,
     reduce_mod_p,
     transvection,
+    xor_table,
 )
 from .torsion import theorem_generators, _pi_rotations, build_f3, build_genus3_extras
 from .words import Verdict, relation_suite
@@ -246,7 +246,7 @@ def _orbit_packed(mats, n, limit):
     for m in mats:
         cols = [sum(m[i][k] << i for i in range(n)) for k in range(n)]
         chunks = [cols[c:c + 8] for c in range(0, n, 8)]
-        maps.append([_row_table(chunk, len(chunk)) for chunk in chunks])
+        maps.append([xor_table(chunk) for chunk in chunks])
     seen = {1}
     frontier = [1]
     while frontier:
@@ -315,13 +315,9 @@ def modp_transitivity(generators, p, limit=2_000_000):
     )
 
 
-def modp_certificate(g, p, enum_cap=2_000_000, with_witnesses=False, certs=None):
-    """Generation certificate mod p for the torsion set, exact-order or transitivity mode.
-
-    certs defaults to theorem_generators(g); a subset gives a negative control.
-    """
-    if certs is None:
-        certs = theorem_generators(g)
+def modp_certificate(g, p, enum_cap=2_000_000, with_witnesses=False):
+    """Generation certificate mod p for the torsion set, exact-order or transitivity mode."""
+    certs = theorem_generators(g)
     gens = [c.matrix for c in certs]
     expected = sp_modp_order(g, p)
     section = {"p": p, "expected_order": expected, "generators": [c.name for c in certs]}

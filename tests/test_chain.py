@@ -1,5 +1,6 @@
 import pytest
 
+from mcgtorsion import theorem
 from mcgtorsion.chain import StabilizerChain
 from mcgtorsion.curves import lickorish_system
 from mcgtorsion.symplectic import identity, reduce_mod_p
@@ -73,9 +74,11 @@ def test_chain_rejects_singular_generator():
         StabilizerChain([((1, 1), (1, 1))], 2)
 
 
-def test_modp_certificate_negative_control_without_f3():
+def test_modp_certificate_negative_control_without_f3(monkeypatch):
     certs = [c for c in theorem_generators(3) if c.name != "f3"]
-    section = modp_certificate(3, 2, certs=certs)
+    monkeypatch.setattr(theorem, "theorem_generators", lambda g: certs)
+    section = modp_certificate(3, 2)
+    assert section["generators"] == [c.name for c in certs]
     assert section["mode"] == "exact-order"
     assert section["torsion_order"] < 1_451_520
     assert 1_451_520 % section["torsion_order"] == 0

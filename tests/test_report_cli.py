@@ -110,6 +110,30 @@ def test_cli_out_file(tmp_path):
     assert on_disk == json.loads(proc.stdout)
 
 
+def test_cli_out_writes_through_symlink_and_keeps_mode(tmp_path):
+    real = tmp_path / "real.json"
+    real.write_text("old")
+    real.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    proc = _run_cli("--genus", "3", "--checks", "relations", "--output", "structured",
+                    "--out", str(link))
+    assert proc.returncode == 0
+    assert link.is_symlink()
+    assert json.loads(real.read_text()) == json.loads(proc.stdout)
+    assert real.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+
+def test_cli_out_to_non_regular_file():
+    # /dev/stdout is the captured pipe here: the report lands there twice
+    proc = _run_cli("--genus", "3", "--checks", "relations", "--out", "/dev/stdout")
+    assert proc.returncode == 0
+    half = len(proc.stdout) // 2
+    assert proc.stdout[:half] == proc.stdout[half:]
+    assert proc.stdout.startswith(proc.stdout[half:])
+
+
 @pytest.mark.parametrize("target", ["missing/report.txt", "existing_dir"])
 def test_cli_out_unwritable_is_usage_error(tmp_path, target):
     (tmp_path / "existing_dir").mkdir()
@@ -118,7 +142,7 @@ def test_cli_out_unwritable_is_usage_error(tmp_path, target):
     assert proc.stderr.startswith("error: cannot write --out")
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stdout == ""
-    # the temporary file is removed when the final rename fails
+    # no temporary file is left behind
     assert [p.name for p in tmp_path.iterdir()] == ["existing_dir"]
 
 

@@ -230,8 +230,8 @@ def test_same_subgroup_witnesses_evaluate():
     word = closure.witness(target)
     assert word is not None
     acc = reduce_mod_p(identity(g), 2)
-    from mcgtorsion._kernels_py import _mul_mod
+    from mcgtorsion.chain import mul_mod
 
     for gi in word:
-        acc = _mul_mod(acc, mats2[gi], 2, 2 * g)
+        acc = mul_mod(acc, mats2[gi], 2)
     assert acc == target
