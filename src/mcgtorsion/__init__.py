@@ -34,6 +34,7 @@ from .symplectic import (
 )
 from .theorem import (
     OrbitSet,
+    certificate_mode,
     full_theorem_report,
     lantern_assembly_check,
     luo_decomposition_check,

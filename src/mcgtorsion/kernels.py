@@ -1,102 +1,110 @@
-"""Kernel selection: compiled closure when available, pure Python otherwise.
+"""Closure BFS oracle for matrix groups over small prime fields.
 
-Set MCGTORSION_PURE=1 to force the pure backend regardless of what was
-built.  Both backends share BFS order, key encodings and cap semantics,
-so their outputs are interchangeable (and tested to be equal).
+Breadth-first closure from the identity under right multiplication by the
+generators, storing every element.  The tests use it as the enumeration
+oracle for the stabilizer chains; no mcg-verify check runs it.
+
+A BFS state is the matrix itself.  At p = 2 it is a tuple of row bitmasks
+(bit j of row i is entry (i, j)), and each generator gets a
+`symplectic.xor_table`, so one product is n table lookups.  Otherwise it
+is a tuple of row tuples reduced mod p.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from . import _kernels_py
-from ._kernels_py import encode_key, key_regime
-from .symplectic import SMALL_PRIMES
+from .chain import mul_mod
+from .symplectic import SMALL_PRIMES, xor_table
 
-if os.environ.get("MCGTORSION_PURE"):
-    _speedups = None
-else:
-    try:
-        from . import _speedups
-    except ImportError:
-        _speedups = None
+# perfbench/run.py's warm-up reads both names; there is only the pure closure.
+BACKEND = "pure"
+_speedups = None
 
-BACKEND = "compiled" if _speedups is not None else "pure"
+
+def _state(mat, p):
+    if p == 2:
+        return tuple(sum((x & 1) << j for j, x in enumerate(row)) for row in mat)
+    return tuple(tuple(x % p for x in row) for row in mat)
 
 
 @dataclass
 class ClosureResult:
-    """Result of a mod-p closure: its size, key set and optional parents."""
+    """Result of a mod-p closure.
+
+    states maps every state reached to its BFS parent link (state, generator
+    index), or to None for the identity and when computed without parents.
+    """
 
     p: int
-    n: int
-    size: int
     exceeded: bool
-    keys: set
-    parents: dict | None = None
+    states: dict
+    with_parents: bool = False
+
+    @property
+    def size(self):
+        return len(self.states)
 
     def contains(self, mat):
-        return encode_key(mat, self.p, self.n) in self.keys
+        return _state(mat, self.p) in self.states
 
     def witness(self, mat):
         """Generator-index word producing mat, from the BFS parent links."""
-        if self.parents is None:
+        if not self.with_parents:
             raise ValueError("closure was computed without parents")
-        key = encode_key(mat, self.p, self.n)
-        if key not in self.parents:
+        state = _state(mat, self.p)
+        if state not in self.states:
             return None
         word = []
-        while self.parents[key] is not None:
-            key, gi = self.parents[key]
+        while self.states[state] is not None:
+            state, gi = self.states[state]
             word.append(gi)
-        word.reverse()
-        return tuple(word)
+        return tuple(reversed(word))
 
 
-def _normalize(gens, p):
-    if p not in SMALL_PRIMES:
-        raise ValueError(f"p must be one of {SMALL_PRIMES}, got {p}")
-    if not gens:
-        raise ValueError("need at least one generator")
-    n = len(gens[0])
-    norm = []
-    for g in gens:
-        if len(g) != n or any(len(row) != n for row in g):
-            raise ValueError("generators must be square matrices of equal size")
-        norm.append(tuple(tuple(x % p for x in row) for row in g))
-    return norm, n
-
-
-def _run_pure(gens, p, n, cap, with_parents):
-    return _kernels_py.modp_closure(gens, p, n, cap, with_parents)
-
-
-def _run_compiled(gens, p, n, cap, with_parents):
-    if key_regime(p, n) == "u64":
-        keys = [encode_key(g, p, n) for g in gens]
-        return _speedups.closure_p2_small(keys, n, cap, with_parents)
-    blobs = [encode_key(g, p, n) for g in gens]  # bytes in this regime
-    return _speedups.closure_bytes(blobs, p, n, cap, with_parents)
-
-
-def modp_closure(gens, p, cap=2_000_000, with_parents=False, backend=None):
+def modp_closure(gens, p, cap=2_000_000, with_parents=False):
     """BFS closure of the group generated by gens inside GL(n, F_p).
 
     cap bounds the number of stored elements; when it is hit the result is
     flagged exceeded and size is the partial count.
     """
+    if p not in SMALL_PRIMES:
+        raise ValueError(f"p must be one of {SMALL_PRIMES}, got {p}")
+    if not gens:
+        raise ValueError("need at least one generator")
     if cap < 1:
         raise ValueError("cap must be positive")
-    norm, n = _normalize(gens, p)
-    if backend is None:
-        backend = BACKEND
-    if backend == "compiled":
-        if _speedups is None:
-            raise RuntimeError("compiled kernels are not available")
-        keys, exceeded, parents = _run_compiled(norm, p, n, cap, with_parents)
-    elif backend == "pure":
-        keys, exceeded, parents = _run_pure(norm, p, n, cap, with_parents)
+    n = len(gens[0])
+    if any(len(g) != n or any(len(row) != n for row in g) for g in gens):
+        raise ValueError("generators must be square matrices of equal size")
+    if p == 2:
+        tables = [xor_table(_state(g, 2)) for g in gens]
+
+        def step(state, gi):
+            return tuple(tables[gi][r] for r in state)
     else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return ClosureResult(p, n, len(keys), exceeded, keys, parents)
+        mats = [_state(g, p) for g in gens]
+
+        def step(state, gi):
+            return mul_mod(state, mats[gi], p)
+
+    ident = _state([[int(i == j) for j in range(n)] for i in range(n)], p)
+    states = {ident: None}
+    frontier = [ident]
+    exceeded = False
+    while frontier and not exceeded:
+        nxt = []
+        for state in frontier:
+            for gi in range(len(gens)):
+                new = step(state, gi)
+                if new in states:
+                    continue
+                if len(states) >= cap:
+                    exceeded = True
+                    break
+                states[new] = (state, gi) if with_parents else None
+                nxt.append(new)
+            if exceeded:
+                break
+        frontier = nxt
+    return ClosureResult(p, exceeded, states, with_parents)

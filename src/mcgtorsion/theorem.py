@@ -8,7 +8,9 @@ the full symplectic group over a small prime.  The mod-p certificate is
 exact order when |Sp(2g, p)| fits under the cap: stabilizer chains of the
 torsion and twist images give both orders exactly, and sifting each
 generator set through the other's chain decides membership both ways.
-Above the cap it falls back to transitivity on nonzero vectors.
+Above the cap it falls back to transitivity on nonzero vectors, which is
+run only for p in (2, 3) and only when every nonzero vector fits under the
+orbit limit; any other (genus, prime) pair is rejected before a check runs.
 
 Everything here sees only the homology representation, so a passing run
 certifies necessary conditions of the generation statement; phenomena in
@@ -36,6 +38,10 @@ HOMOLOGY_CAVEAT = (
     "verification is at the homology-representation level: passing checks are "
     "necessary conditions; statements inside the Torelli kernel are out of scope"
 )
+
+
+# the most vectors the transitivity certificate's orbit search stores
+TRANSITIVITY_LIMIT = 2_000_000
 
 
 def default_orbit_cap(g):
@@ -226,14 +232,40 @@ def sp_modp_order(g, p):
     return order
 
 
-def modp_subgroup_order(generators, p, cap=2_000_000, with_parents=False, backend=None):
+def modp_subgroup_order(generators, p, cap=2_000_000, with_parents=False):
     """Exact order of the mod-p subgroup generated, or None when cap is hit.
 
-    Returns (order_or_None, ClosureResult)."""
+    Enumerates the group with the closure BFS oracle in `kernels`; the tests
+    cross-check the stabilizer chains against it, and no certificate uses
+    it.  Returns (order_or_None, ClosureResult)."""
     mats = [reduce_mod_p(m, p) for m in generators]
-    result = kernels.modp_closure(mats, p, cap=cap, with_parents=with_parents,
-                                  backend=backend)
+    result = kernels.modp_closure(mats, p, cap=cap, with_parents=with_parents)
     return (None if result.exceeded else result.size), result
+
+
+def certificate_mode(g, p, enum_cap=2_000_000):
+    """The mod-p certificate that can decide generation at genus g, or None.
+
+    "exact-order" when |Sp(2g, p)| <= enum_cap; else "transitivity" when
+    p is 2 or 3 and all p^(2g) - 1 nonzero vectors fit under
+    TRANSITIVITY_LIMIT; else None, since any run could only be inconclusive.
+    """
+    if sp_modp_order(g, p) <= enum_cap:
+        return "exact-order"
+    if p in (2, 3) and p ** (2 * g) - 1 <= TRANSITIVITY_LIMIT:
+        return "transitivity"
+    return None
+
+
+def _require_certificate(g, p, enum_cap):
+    mode = certificate_mode(g, p, enum_cap)
+    if mode is None:
+        raise ValueError(
+            f"no mod-{p} certificate at genus {g}: |Sp({2 * g},{p})| exceeds the "
+            f"enum cap {enum_cap}, and transitivity needs p in (2, 3) with "
+            f"p^{2 * g}-1 <= {TRANSITIVITY_LIMIT}"
+        )
+    return mode
 
 
 def _orbit_packed(mats, n, limit):
@@ -297,7 +329,7 @@ def modp_vector_orbit_size(generators, p, limit):
     return _orbit_generic(mats, p, n, limit)
 
 
-def modp_transitivity(generators, p, limit=2_000_000):
+def modp_transitivity(generators, p, limit=TRANSITIVITY_LIMIT):
     """Transitivity on the p^(2g) - 1 nonzero vectors, by vector orbit BFS."""
     if p not in (2, 3):
         raise ValueError(f"transitivity check supports p in (2, 3), got {p}")
@@ -316,13 +348,17 @@ def modp_transitivity(generators, p, limit=2_000_000):
 
 
 def modp_certificate(g, p, enum_cap=2_000_000, with_witnesses=False):
-    """Generation certificate mod p for the torsion set, exact-order or transitivity mode."""
+    """Generation certificate mod p for the torsion set, exact-order or transitivity mode.
+
+    Raises ValueError when neither mode can decide (see certificate_mode).
+    """
+    mode = _require_certificate(g, p, enum_cap)
     certs = theorem_generators(g)
     gens = [c.matrix for c in certs]
     expected = sp_modp_order(g, p)
-    section = {"p": p, "expected_order": expected, "generators": [c.name for c in certs]}
-    if expected <= enum_cap:
-        section["mode"] = "exact-order"
+    section = {"p": p, "mode": mode, "expected_order": expected,
+               "generators": [c.name for c in certs]}
+    if mode == "exact-order":
         system = lickorish_system(g)
         mats = [reduce_mod_p(m, p) for m in gens]
         twist_mats = [reduce_mod_p(u.twist, p) for u in system.curves]
@@ -346,7 +382,6 @@ def modp_certificate(g, p, enum_cap=2_000_000, with_witnesses=False):
             }
         passed = order == expected and lk_order == expected and section["same_subgroup"]
     else:
-        section["mode"] = "transitivity"
         section["note"] = (
             "full enumeration exceeds the cap; transitivity on nonzero vectors "
             "is a weaker certificate"
@@ -390,6 +425,9 @@ def full_theorem_report(g, prime=None, orbit_cap=None, enum_cap=2_000_000,
 
     checks is a subset of {"relations", "torsion", "theorem", "modp"};
     None means every applicable check (modp only when a prime is given).
+    Raises ValueError before any check runs when the selection needs a
+    larger genus or a prime, or when no mod-p certificate can decide
+    (certificate_mode is None).
     """
     import time
 
@@ -408,8 +446,10 @@ def full_theorem_report(g, prime=None, orbit_cap=None, enum_cap=2_000_000,
             f"checks {sorted(needs_torsion)} need genus >= 3 "
             f"(the theorem hypothesis); got {g}"
         )
-    if "modp" in checks and prime is None:
-        raise ValueError("modp check requested without a prime")
+    if "modp" in checks:
+        if prime is None:
+            raise ValueError("modp check requested without a prime")
+        _require_certificate(g, prime, enum_cap)
 
     report = {
         "schema": "mcgtorsion-report/1",

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -151,6 +152,23 @@ def test_cli_enum_cap_zero_rejected():
     proc = _run_cli("--genus", "3", "--checks", "modp", "--prime", "2", "--enum-cap", "0")
     assert proc.returncode == 2
     assert proc.stderr == "error: --enum-cap must be a positive integer, got 0\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("--genus", "11", "--checks", "modp", "--prime", "2"),  # 2^22-1 vectors
+    ("--genus", "7", "--prime", "3"),   # 3^14-1 vectors; default checks include modp
+    ("--genus", "3", "--prime", "5"),   # transitivity needs p in (2, 3)
+])
+def test_cli_rejects_uncertifiable_prime_before_any_check(args):
+    # these runs used to go inconclusive (exit 1) or fail late with an internal error
+    t0 = time.perf_counter()
+    proc = _run_cli(*args)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: no mod-")
+    assert elapsed < 1.5, f"rejection took {elapsed:.2f}s"
 
 
 def test_cli_negative_orbit_cap_rejected():

@@ -3,6 +3,7 @@ import pytest
 from mcgtorsion.curves import lickorish_system
 from mcgtorsion.symplectic import alpha, identity, reduce_mod_p, transvection
 from mcgtorsion.theorem import (
+    certificate_mode,
     default_orbit_cap,
     full_theorem_report,
     lantern_assembly_check,
@@ -165,6 +166,18 @@ def test_mod3_transitivity_small_genus():
     v = modp_transitivity(gens, 3)
     assert v.passed
     assert v.details["nonzero_vectors"] == 3 ** 6 - 1
+
+
+def test_certificate_mode_predicate():
+    # the CLI rejects a modp check exactly where this is None
+    assert certificate_mode(3, 2) == "exact-order"       # |Sp(6,2)| = 1451520
+    assert certificate_mode(4, 2) == "transitivity"
+    assert certificate_mode(10, 2) == "transitivity"     # 2^20-1 vectors
+    assert certificate_mode(11, 2) is None               # 2^22-1 vectors
+    assert certificate_mode(6, 3) == "transitivity"      # 3^12-1 vectors
+    assert certificate_mode(7, 3) is None
+    assert certificate_mode(3, 5) is None
+    assert certificate_mode(3, 5, enum_cap=10 ** 20) == "exact-order"
 
 
 def test_modp_certificate_full_mode_g3():
