@@ -37,6 +37,7 @@ from .theorem import (
     certificate_mode,
     full_theorem_report,
     lantern_assembly_check,
+    lickorish_words,
     luo_decomposition_check,
     modp_subgroup_order,
     modp_transitivity,

@@ -23,8 +23,15 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one `error:` line and exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mcg-verify",
         description=(
             "Verify torsion generating sets of the genus-g mapping class group "
@@ -39,13 +46,11 @@ def build_parser():
     )
     parser.add_argument("--prime", type=int, default=None,
                         help="small prime for the modp certificate")
-    parser.add_argument("--orbit-cap", type=int, default=None,
-                        help="bound on the orbit exploration (default 10*(3g-1)*g)")
     parser.add_argument("--enum-cap", type=int, default=None,
                         help="largest |Sp(2g,p)| certified by exact order; larger groups "
                              "get the transitivity certificate (default 2000000)")
     parser.add_argument("--witness", action="store_true",
-                        help="record generator words witnessing orbit and membership facts")
+                        help="record mod-p membership words (orbit words are always recorded)")
     parser.add_argument("--output", choices=("text", "structured"), default="text")
     parser.add_argument("--out", default=None, help="also write the report to this path")
     parser.add_argument("--eval", dest="eval_word", default=None, metavar="WORD",
@@ -159,14 +164,12 @@ def run(args):
     if checks is not None and "modp" in checks and args.prime is None:
         raise UsageError("--checks modp requires --prime")
 
-    orbit_cap = _cap(args.orbit_cap, "--orbit-cap", "MCGTORSION_ORBIT_CAP")
     enum_cap = _cap(args.enum_cap, "--enum-cap", "MCGTORSION_ENUM_CAP") or 2_000_000
 
     try:
         report, timings = full_theorem_report(
             args.genus,
             prime=args.prime,
-            orbit_cap=orbit_cap,
             enum_cap=enum_cap,
             with_witnesses=args.witness,
             checks=checks,

@@ -58,10 +58,11 @@ def _format_check(name, section, lines):
             lines.append(f"  {sub['check']}: {sub['status']}")
             det = sub.get("details", {})
             if key == "orbit":
-                lines.append(
-                    f"    orbit size {det.get('orbit_size')} at depth {det.get('depth')}"
-                    f" (cap {det.get('cap')})"
-                )
+                reached, missing = len(det["witnesses"]), det["missing"]
+                lines.append(f"    {reached} of {reached + len(missing)} curves reached "
+                             "from a1 by the generator words")
+                if missing:
+                    lines.append(f"    missing: {', '.join(missing)}")
             if sub["status"] == "fail" and "lhs_word" in det:
                 lines.append(f"    lhs: {det['lhs_word']} = {det.get('lhs_matrix')}")
                 lines.append(f"    rhs: {det.get('rhs_word')} = {det.get('rhs_matrix')}")

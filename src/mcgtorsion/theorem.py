@@ -4,13 +4,18 @@ Checks, per genus: the Luo decomposition of Ta2 Ta1^-1 into two
 involutions, the assembly of T_c1 from conjugates of Ta2 Ta1^-1 by the
 order-3 element, the single-orbit property of the Lickorish classes under
 the torsion group, and finite certificates that the generator images span
-the full symplectic group over a small prime.  The mod-p certificate is
-exact order when |Sp(2g, p)| fits under the cap: stabilizer chains of the
-torsion and twist images give both orders exactly, and sifting each
-generator set through the other's chain decides membership both ways.
-Above the cap it falls back to transitivity on nonzero vectors, which is
-run only for p in (2, 3) and only when every nonzero vector fits under the
-orbit limit; any other (genus, prime) pair is rejected before a check runs.
+the full symplectic group over a small prime.  The orbit property is
+certified by the paper's own words: a fixed generator word per curve,
+applied to a_1 and compared with the curve's class, so it needs no search
+and cannot be inconclusive.
+
+The mod-p certificate is exact order when |Sp(2g, p)| fits under the cap:
+stabilizer chains of the torsion and twist images give both orders
+exactly, and sifting each generator set through the other's chain decides
+membership both ways.  Above the cap it falls back to transitivity on
+nonzero vectors, which is run only for p in (2, 3) and only when every
+nonzero vector fits under the orbit limit; any other (genus, prime) pair
+is rejected before a check runs.
 
 Everything here sees only the homology representation, so a passing run
 certifies necessary conditions of the generation statement; phenomena in
@@ -44,19 +49,14 @@ HOMOLOGY_CAVEAT = (
 TRANSITIVITY_LIMIT = 2_000_000
 
 
-def default_orbit_cap(g):
-    return 10 * (3 * g - 1) * g
-
-
 @dataclass(frozen=True)
 class OrbitSet:
-    """BFS closure of curve classes, canonicalized up to global sign."""
+    """Curve classes reached from a seed, canonicalized up to global sign."""
 
     genus: int
     classes: frozenset
     depth: int
     exceeded: bool
-    witnesses: dict | None = None
 
     @property
     def size(self):
@@ -75,105 +75,101 @@ def _canon(coords):
     return coords
 
 
-def orbit_closure(generators, seeds, cap, targets=None, gen_names=None, with_parents=False):
+def orbit_closure(generators, seeds, cap, targets=None):
     """Level-synchronous BFS of seed classes under generators and inverses.
 
     Stops at the first completed level containing all targets (when given),
     when the orbit closes, or when the explored set would pass cap, in
-    which case the result is flagged exceeded.
+    which case the result is flagged exceeded.  The tests use it as the
+    oracle for the explicit words of property1_orbit_check.
     """
     if not generators:
         raise ValueError("need at least one generator")
     genus = generators[0].genus
-    if gen_names is None:
-        gen_names = [f"g{i}" for i in range(len(generators))]
     maps = []
-    for name, m in zip(gen_names, generators):
-        maps.append((name, m))
+    for m in generators:
         inv = m.inv()
-        if inv != m:
-            maps.append((f"{name}^-1", inv))
-
-    seen = {}
+        maps += [m] if inv == m else [m, inv]
+    seen = set()
     for s in seeds:
         if s.genus != genus:
             raise ValueError("seed genus mismatch")
-        seen[_canon(s.coords)] = None
+        seen.add(_canon(s.coords))
     frontier = sorted(seen)
     target_set = set(targets) if targets else None
     depth = 0
-    exceeded = False
-    while frontier:
-        if target_set is not None and target_set <= seen.keys():
-            break
+    while frontier and not (target_set is not None and target_set <= seen):
         nxt = []
         for coords in frontier:
-            for name, m in maps:
+            for m in maps:
                 img = _canon(m.apply(coords))
                 if img in seen:
                     continue
                 if len(seen) >= cap:
-                    exceeded = True
-                    break
-                seen[img] = (coords, name)
+                    return OrbitSet(genus, frozenset(seen), depth, True)
+                seen.add(img)
                 nxt.append(img)
-            if exceeded:
-                break
-        if exceeded:
-            break
         if nxt:
             depth += 1
         frontier = sorted(nxt)
-
-    witnesses = None
-    if with_parents:
-        witnesses = {}
-        for coords in seen:
-            word = []
-            cur = coords
-            while seen[cur] is not None:
-                cur, name = seen[cur]
-                word.append(name)
-            witnesses[coords] = tuple(reversed(word))
-    return OrbitSet(genus, frozenset(seen), depth, exceeded, witnesses)
+    return OrbitSet(genus, frozenset(seen), depth, False)
 
 
-def property1_orbit_check(g, cap=None, with_witnesses=False):
-    """All 3g-1 Lickorish classes lie in the orbit of [a_1]."""
-    if cap is None:
-        cap = default_orbit_cap(g)
-    certs = theorem_generators(g)
-    gens = [c.matrix for c in certs]
-    names = [c.name for c in certs]
-    system = lickorish_system(g)
-    targets = {_canon(u.cls.coords) for u in system.curves}
-    orbit = orbit_closure(
-        gens, [alpha(1, g)], cap, targets=targets, gen_names=names,
-        with_parents=with_witnesses,
-    )
-    missing = sorted(
-        u.name for u in system.curves if _canon(u.cls.coords) not in orbit.classes
-    )
-    if not missing:
-        status = "pass"
-    elif orbit.exceeded:
-        status = "inconclusive"
+def lickorish_words(g, names):
+    """The paper's word carrying a1 to each Lickorish curve, in application order.
+
+    names are the generator names of theorem_generators(g).  With the handle
+    shift s = f2 f1 (i -> i+1): a_i = s^(i-1) a1; c_i = s^(i-2) f3 a1, since
+    f3 cycles a1 -> c2 -> a3; b_i = s^(i-4) f3 s^3 a1 for g >= 4, since f3
+    sends a4 to b4; and at g = 3, b_i = s^(i-2) tau s^2 a1, since tau sends
+    a3 to -b2.  s^k is written as (f2 f1)^k or (f1 f2)^(g-k), whichever is
+    shorter.
+    """
+    f1, f2, f3 = names[0], names[1], names[3]
+
+    def shift(k):
+        k %= g
+        return (f1, f2) * k if 2 * k <= g else (f2, f1) * (g - k)
+
+    words = {f"a{i}": shift(i - 1) for i in range(1, g + 1)}
+    if g >= 4:
+        words.update({f"b{i}": shift(3) + (f3,) + shift(i - 4) for i in range(1, g + 1)})
     else:
-        status = "fail"
-    details = {
-        "orbit_size": orbit.size,
-        "depth": orbit.depth,
-        "cap": cap,
-        "generators": names,
-        "missing": missing,
-    }
-    if with_witnesses and orbit.witnesses is not None:
-        details["witnesses"] = {
-            u.name: list(orbit.witnesses.get(_canon(u.cls.coords), ()))
-            for u in system.curves
-            if _canon(u.cls.coords) in orbit.classes
-        }
-    return Verdict(f"orbit(g={g})", status, details), orbit
+        words.update({f"b{i}": shift(2) + (names[4],) + shift(i - 2) for i in range(1, g + 1)})
+    words.update({f"c{i}": (f3,) + shift(i - 2) for i in range(1, g)})
+    return words
+
+
+def property1_orbit_check(g):
+    """All 3g-1 Lickorish classes lie in the orbit of [a_1], by explicit words.
+
+    Each word of lickorish_words is applied to a_1 with the generator
+    matrices and its endpoint compared with the curve's class up to sign;
+    a curve whose word lands elsewhere is missing and the check fails.
+    Returns the verdict and the OrbitSet of endpoints, whose depth is the
+    longest word.
+    """
+    certs = theorem_generators(g)
+    names = [c.name for c in certs]
+    by_name = {c.name: c.matrix for c in certs}
+    words = lickorish_words(g, names)
+    reached = set()
+    witnesses = {}
+    missing = []
+    for u in lickorish_system(g).curves:
+        v = alpha(1, g)
+        for name in words[u.name]:
+            v = by_name[name].apply(v)
+        end = _canon(v.coords)
+        reached.add(end)
+        if end == _canon(u.cls.coords):
+            witnesses[u.name] = list(words[u.name])
+        else:
+            missing.append(u.name)
+    details = {"generators": names, "missing": sorted(missing), "witnesses": witnesses}
+    depth = max(len(w) for w in words.values())
+    verdict = Verdict(f"orbit(g={g})", "fail" if missing else "pass", details)
+    return verdict, OrbitSet(g, frozenset(reached), depth, False)
 
 
 def luo_decomposition_check(g, f2_override=None):
@@ -419,8 +415,8 @@ def convention_record(g):
     return record
 
 
-def full_theorem_report(g, prime=None, orbit_cap=None, enum_cap=2_000_000,
-                        with_witnesses=False, checks=None):
+def full_theorem_report(g, prime=None, enum_cap=2_000_000, with_witnesses=False,
+                        checks=None):
     """Aggregate report for one genus; returns (report_dict, timings_dict).
 
     checks is a subset of {"relations", "torsion", "theorem", "modp"};
@@ -452,7 +448,7 @@ def full_theorem_report(g, prime=None, orbit_cap=None, enum_cap=2_000_000,
         _require_certificate(g, prime, enum_cap)
 
     report = {
-        "schema": "mcgtorsion-report/1",
+        "schema": "mcgtorsion-report/2",
         "genus": g,
         "convention": convention_record(g),
         "note": HOMOLOGY_CAVEAT,
@@ -473,11 +469,8 @@ def full_theorem_report(g, prime=None, orbit_cap=None, enum_cap=2_000_000,
         timings["relations"] = time.perf_counter() - t0
         passed &= ok
 
-    certs = None
-    if "torsion" in checks or "theorem" in checks:
-        certs = theorem_generators(g)
-
     if "torsion" in checks:
+        certs = theorem_generators(g)
         t0 = time.perf_counter()
         f2f1_order = element_order(certs[1].matrix @ certs[0].matrix, g)
         orders_ok = f2f1_order == g
@@ -494,9 +487,7 @@ def full_theorem_report(g, prime=None, orbit_cap=None, enum_cap=2_000_000,
         t0 = time.perf_counter()
         luo = luo_decomposition_check(g)
         assembly = lantern_assembly_check(g)
-        orbit_verdict, _ = property1_orbit_check(
-            g, cap=orbit_cap, with_witnesses=with_witnesses
-        )
+        orbit_verdict, _ = property1_orbit_check(g)
         ok = luo.passed and assembly.passed and orbit_verdict.passed
         report["checks"]["theorem"] = {
             "passed": ok,

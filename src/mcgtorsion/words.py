@@ -76,7 +76,9 @@ def evaluate(word, assignment):
 
 
 def parse_word(text, known=None):
-    """Parse whitespace-separated tokens like 'Ta1 Tb2^-1 F3^2'."""
+    """Parse whitespace-separated tokens like 'Ta1 Tb2^-1 F3^2', or '<empty>'."""
+    if text.strip() == "<empty>":
+        return ()
     word = []
     for pos, token in enumerate(text.split(), start=1):
         m = _TOKEN_RE.match(token)

@@ -1,4 +1,4 @@
-"""Property tests: the closure oracle against the stabilizer chain, and words."""
+"""Property tests: the closure oracle against the stabilizer chain, words, inverses."""
 
 from functools import lru_cache
 
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mcgtorsion import kernels
 from mcgtorsion.chain import StabilizerChain, mul_mod
 from mcgtorsion.curves import lickorish_system
-from mcgtorsion.symplectic import reduce_mod_p
+from mcgtorsion.symplectic import identity, reduce_mod_p
 from mcgtorsion.torsion import theorem_generators
 from mcgtorsion.words import evaluate, format_word, parse_word, reduce_word, twist_assignment
 
@@ -43,10 +43,9 @@ def test_closure_matches_chain_on_g2_twists(subset, p, data):
 
 
 SYMBOLS = ("Ta1", "Tb1", "Ta2", "Tc1", "F1", "F2", "F3")
-# the empty word prints as "<empty>", which is not a word, so words are nonempty
 WORDS = st.lists(
     st.tuples(st.sampled_from(SYMBOLS), st.integers(-4, 4).filter(bool)),
-    min_size=1, max_size=8,
+    max_size=8,
 ).map(tuple)
 
 
@@ -74,3 +73,21 @@ def test_reduce_word_idempotent_and_preserves_value(word):
     reduced = reduce_word(word)
     assert reduce_word(reduced) == reduced
     assert evaluate(reduced, G3) == evaluate(word, G3)
+
+
+TWISTS = {g: twist_assignment(g) for g in (2, 3)}
+
+
+def _twist_products(g):
+    letters = st.tuples(st.sampled_from(sorted(TWISTS[g])), st.integers(-2, 2).filter(bool))
+    return st.lists(letters, max_size=6).map(lambda word: evaluate(tuple(word), TWISTS[g]))
+
+
+@PROPERTY
+@given(data=st.data(), g=st.sampled_from((2, 3)))
+def test_symplectic_inverse(data, g):
+    a = data.draw(_twist_products(g))
+    b = data.draw(_twist_products(g))
+    assert a @ a.inv() == identity(g)
+    assert a.inv().inv() == a
+    assert (a @ b).inv() == b.inv() @ a.inv()

@@ -3,10 +3,13 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
+from mcgtorsion import cli, theorem
 from mcgtorsion import report as report_mod
+from mcgtorsion.symplectic import identity
 from mcgtorsion.theorem import full_theorem_report
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -171,12 +174,6 @@ def test_cli_rejects_uncertifiable_prime_before_any_check(args):
     assert elapsed < 1.5, f"rejection took {elapsed:.2f}s"
 
 
-def test_cli_negative_orbit_cap_rejected():
-    proc = _run_cli("--genus", "4", "--checks", "theorem", "--orbit-cap", "-5")
-    assert proc.returncode == 2
-    assert proc.stderr == "error: --orbit-cap must be a positive integer, got -5\n"
-
-
 def test_cli_non_integer_env_cap_rejected():
     proc = _run_cli("--genus", "3", "--checks", "modp", "--prime", "2",
                     MCGTORSION_ENUM_CAP="abc")
@@ -196,15 +193,29 @@ def test_cli_eval_rejects_unknown_token():
     assert "token 1" in proc.stderr
 
 
-def test_cli_orbit_cap_flag():
-    proc = _run_cli("--genus", "4", "--checks", "theorem", "--orbit-cap", "5")
-    assert proc.returncode == 1  # inconclusive orbit fails the run
-    assert "RESULT: FAIL" in proc.stdout
+@pytest.mark.parametrize("args", [
+    ("--genus", "abc"),
+    ("--genus", "3", "--bogus"),
+    ("--genus", "3", "--output", "xml"),
+    ("--genus", "4", "--checks", "theorem", "--orbit-cap", "5"),  # the flag is gone
+])
+def test_cli_parser_errors_are_one_line(args):
+    proc = _run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+
+
+def test_cli_help_still_prints_usage():
+    proc = _run_cli("--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: mcg-verify")
 
 
 def test_cli_witness_flag():
-    proc = _run_cli("--genus", "3", "--checks", "theorem", "--witness",
-                    "--output", "structured")
+    # orbit words are written with or without --witness
+    proc = _run_cli("--genus", "3", "--checks", "theorem", "--output", "structured")
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     witnesses = data["report"]["checks"]["theorem"]["orbit"]["details"]["witnesses"]
@@ -212,11 +223,17 @@ def test_cli_witness_flag():
     assert any(witnesses.values())
 
 
-def test_exit_status_reflects_verdicts():
-    # a failing check must exit 1 and print the failing identity
-    report, timings = full_theorem_report(4, checks={"theorem"}, orbit_cap=5)
-    assert not report["passed"]
-    text = report_mod.emit_text(report_mod.envelope(report, timings))
+def test_exit_status_reflects_verdicts(monkeypatch, capsys):
+    # with f3 replaced by the identity the orbit words miss the b and c
+    # curves: the run must exit 1 and name them
+    certs = [c if c.name != "f3" else replace(c, matrix=identity(4))
+             for c in theorem.theorem_generators(4)]
+    monkeypatch.setattr(theorem, "theorem_generators", lambda g: certs)
+    assert cli.main(["--genus", "4", "--checks", "theorem"]) == 1
+    text = capsys.readouterr().out
+    assert "orbit(g=4): fail" in text
+    assert "4 of 11 curves reached" in text
+    assert "missing: b1, b2, b3, b4, c1, c2, c3" in text
     assert "RESULT: FAIL" in text
 
 
@@ -239,7 +256,7 @@ def test_failed_identity_prints_words_and_matrices():
         ],
     }
     report = {
-        "schema": "mcgtorsion-report/1",
+        "schema": "mcgtorsion-report/2",
         "genus": 2,
         "convention": {},
         "note": "",

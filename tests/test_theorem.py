@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import pytest
 
 from mcgtorsion.curves import lickorish_system
+from mcgtorsion import theorem
 from mcgtorsion.symplectic import alpha, identity, reduce_mod_p, transvection
 from mcgtorsion.theorem import (
     certificate_mode,
-    default_orbit_cap,
     full_theorem_report,
     lantern_assembly_check,
+    lickorish_words,
     luo_decomposition_check,
     modp_certificate,
     modp_subgroup_order,
@@ -49,19 +52,64 @@ def test_orbit_identity_only():
     assert orbit.contains(-alpha(1, 3))  # canonicalized up to sign
 
 
-def test_orbit_cap_inconclusive():
-    verdict, orbit = property1_orbit_check(4, cap=5)
-    assert verdict.status == "inconclusive"
-    assert orbit.exceeded
-    assert orbit.size <= 5
-
-
 @pytest.mark.parametrize("g", range(3, 9))
 def test_property1_orbit(g):
     verdict, orbit = property1_orbit_check(g)
     assert verdict.passed
     assert verdict.details["missing"] == []
-    assert orbit.size <= default_orbit_cap(g)
+    assert orbit.size == 3 * g - 1
+    assert orbit.depth == max(map(len, verdict.details["witnesses"].values())) <= g + 7
+    assert verdict.details["witnesses"]["a1"] == []
+
+
+@pytest.mark.parametrize("g", (*range(3, 21), 24, 32))
+def test_theorem_check_passes_at_genus(g):
+    # the orbit check has no cap, so no genus goes inconclusive
+    report, _ = full_theorem_report(g, checks={"theorem"})
+    assert report["passed"], report["checks"]["theorem"]["orbit"]["details"]["missing"]
+
+
+def _endpoint_and_matrix(g, word):
+    by_name = {c.name: c.matrix for c in theorem_generators(g)}
+    v, w = alpha(1, g), identity(g)
+    for name in word:
+        v = by_name[name].apply(v)
+        w = by_name[name] @ w
+    return v, w
+
+
+@pytest.mark.parametrize("g", range(3, 7))
+def test_orbit_words_land_in_bfs_orbit(g):
+    # the words against the independent BFS: every endpoint is in the orbit of a1
+    certs = theorem_generators(g)
+    gens = [c.matrix for c in certs]
+    words = lickorish_words(g, [c.name for c in certs])
+    ends = {_endpoint_and_matrix(g, w)[0].canonical().coords for w in words.values()}
+    orbit = orbit_closure(gens, [alpha(1, g)], cap=100_000, targets=ends)
+    assert not orbit.exceeded
+    assert ends <= orbit.classes
+
+
+@pytest.mark.parametrize("g", range(3, 9))
+def test_orbit_words_conjugate_twists(g):
+    # the paper's form: W T_a1 W^-1 = T_u for the word W of each curve u
+    words = lickorish_words(g, [c.name for c in theorem_generators(g)])
+    ta1 = transvection(alpha(1, g))
+    for u in lickorish_system(g).curves:
+        _, w = _endpoint_and_matrix(g, words[u.name])
+        assert w @ ta1 @ w.inv() == u.twist, u.name
+
+
+@pytest.mark.parametrize("g", (4, 5))
+def test_orbit_negative_control_f3_identity(monkeypatch, g):
+    certs = [c if c.name != "f3" else replace(c, matrix=identity(g))
+             for c in theorem_generators(g)]
+    monkeypatch.setattr(theorem, "theorem_generators", lambda g: certs)
+    verdict, _ = property1_orbit_check(g)
+    assert verdict.status == "fail"
+    want = [f"b{i}" for i in range(1, g + 1)] + [f"c{i}" for i in range(1, g)]
+    assert verdict.details["missing"] == sorted(want)
+    assert sorted(verdict.details["witnesses"]) == sorted(f"a{i}" for i in range(1, g + 1))
 
 
 def test_orbit_verdict_independent_of_generator_order():
@@ -86,24 +134,6 @@ def test_orbit_monotone_in_cap():
     large = orbit_closure(gens, [alpha(1, g)], cap=60)
     assert small.exceeded and large.exceeded
     assert small.classes <= large.classes
-
-
-def test_orbit_witnesses_replay():
-    g = 4
-    certs = theorem_generators(g)
-    gens = [c.matrix for c in certs]
-    names = [c.name for c in certs]
-    by_name = dict(zip(names, gens))
-    by_name.update({f"{n}^-1": m.inv() for n, m in zip(names, gens)})
-    system = lickorish_system(g)
-    targets = {u.cls.canonical().coords for u in system.curves}
-    orbit = orbit_closure(gens, [alpha(1, g)], cap=10_000, targets=targets,
-                          gen_names=names, with_parents=True)
-    for coords, word in orbit.witnesses.items():
-        v = alpha(1, g)
-        for step in word:
-            v = by_name[step].apply(v)
-        assert v.canonical().coords == coords
 
 
 def test_sp_order_formula():

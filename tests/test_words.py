@@ -119,6 +119,7 @@ def test_format_word_round_trip():
     word = (("Ta1", 1), ("Tb2", -1), ("F3", 2))
     assert parse_word(format_word(word)) == word
     assert format_word(()) == "<empty>"
+    assert parse_word(format_word(())) == ()
 
 
 def test_check_commuting_disjoint_pairs():
