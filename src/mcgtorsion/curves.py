@@ -15,7 +15,7 @@ recorded so reports can state the convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import isqrt
 
@@ -46,8 +46,9 @@ class NamedCurve:
         if not self.separating and not self.cls.is_primitive:
             raise ValueError(f"curve {self.name}: non-separating class must be primitive")
 
-    @property
+    @cached_property
     def twist(self):
+        """The transvection of the class, built once per curve."""
         return transvection(self.cls)
 
 

@@ -19,7 +19,7 @@ SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 def _as_int_tuple(seq):
-    return tuple(int(x) for x in seq)
+    return tuple(map(int, seq))
 
 
 @dataclass(frozen=True)
@@ -90,19 +90,28 @@ def symplectic_form(x, y):
     return sum(a[i] * b[g + i] - a[g + i] * b[i] for i in range(g))
 
 
-# Raw helpers on tuple-of-tuples rows (no symplectic checking).  The public
-# SympMatrix wrapper asserts the symplectic condition on construction.
+# Helpers on tuple-of-tuples rows.  Every SympMatrix is validated on
+# construction by is_symplectic_rows; both kernels below skip zero entries,
+# so a matrix that is the identity outside a few handles costs O(n * nnz).
 
 def identity_rows(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def mul_rows(a, b):
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    """Exact product a b: row i is the sum of a[i][k] * b[k] over the nonzero a[i][k]."""
+    zero = (0,) * len(b[0]) if b else ()
+    out = []
+    for row in a:
+        acc = None
+        for x, brow in zip(row, b):
+            if x:
+                if acc is None:
+                    acc = brow if x == 1 else [x * y for y in brow]
+                else:
+                    acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(zero if acc is None else tuple(acc))
+    return tuple(out)
 
 
 def j_rows(g):
@@ -114,20 +123,26 @@ def j_rows(g):
     return tuple(tuple(r) for r in rows)
 
 
-def _form_coords(a, b, g):
-    return sum(a[i] * b[g + i] - a[g + i] * b[i] for i in range(g))
-
-
 def is_symplectic_rows(rows, g):
-    """M^T J M = J, checked column against column."""
+    """M^T J M = J.
+
+    With r_k the rows of M, M^T J M = P - P^T for P = sum_{k<g} r_k^T r_{k+g},
+    and J = U - U^T for U = sum_{i<g} E_{i,g+i}, so M is symplectic exactly
+    when P - U is symmetric.  P is accumulated over the nonzero entries of
+    each row pair only.
+    """
     n = 2 * g
-    cols = tuple(zip(*rows))
-    for i in range(n):
-        for j in range(i + 1, n):
-            want = 1 if j == i + g else 0
-            if _form_coords(cols[i], cols[j], g) != want:
-                return False
-    return True
+    p = [[0] * n for _ in range(n)]
+    for i in range(g):
+        p[i][g + i] = -1
+    for k in range(g):
+        bottom = [(j, y) for j, y in enumerate(rows[k + g]) if y]
+        for i, x in enumerate(rows[k]):
+            if x:
+                row = p[i]
+                for j, y in bottom:
+                    row[j] += x * y
+    return list(map(tuple, p)) == list(zip(*p))
 
 
 class SympMatrix:

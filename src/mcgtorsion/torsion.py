@@ -361,14 +361,12 @@ def build_genus3_extras():
     return f3_local, tau
 
 
+@lru_cache(maxsize=None)
 def theorem_generators(g):
-    """The certificates of the theorem's generating set, in statement order."""
+    """Certificates of the theorem's generating set in statement order; built once per genus."""
     if g < 3:
         raise ValueError(f"the torsion generating sets need genus >= 3, got {g}")
-    certs = [build_f1(g), build_f2(g), conjugated_involution(g)]
+    certs = (build_f1(g), build_f2(g), conjugated_involution(g))
     if g >= 4:
-        certs.append(build_f3(g))
-    else:
-        f3_local, tau = build_genus3_extras()
-        certs += [f3_local, tau]
-    return certs
+        return certs + (build_f3(g),)
+    return certs + build_genus3_extras()

@@ -48,3 +48,16 @@ def order_oracle(a, bound):
             return k
         power = mm(power, a)
     return None
+
+
+def symplectic_oracle(rows, g):
+    """M^T J M = J, checked column pair by column pair from the definition."""
+    n = 2 * g
+    cols = list(zip(*rows))
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = cols[i], cols[j]
+            form = sum(a[k] * b[g + k] - a[g + k] * b[k] for k in range(g))
+            if form != (1 if j == i + g else 0):
+                return False
+    return True

@@ -1,14 +1,27 @@
-"""Property tests: the closure oracle against the stabilizer chain, words, inverses."""
+"""Property tests: the closure oracle against the stabilizer chain, words,
+inverses, the exact product and symplectic check against plain oracles, and
+the determinism of the sign solver."""
 
 from functools import lru_cache
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcgtorsion import kernels
+from conftest import mm, symplectic_oracle, tv
+from mcgtorsion import kernels, theorem
 from mcgtorsion.chain import StabilizerChain, mul_mod
-from mcgtorsion.curves import lickorish_system
-from mcgtorsion.symplectic import identity, reduce_mod_p
+from mcgtorsion.curves import lantern_configuration, lickorish_system
+from mcgtorsion.symplectic import (
+    SympMatrix,
+    identity,
+    is_symplectic_rows,
+    mul_rows,
+    reduce_mod_p,
+    transvection,
+)
+from mcgtorsion.theorem import convention_record
 from mcgtorsion.torsion import theorem_generators
 from mcgtorsion.words import evaluate, format_word, parse_word, reduce_word, twist_assignment
 
@@ -91,3 +104,81 @@ def test_symplectic_inverse(data, g):
     assert a @ a.inv() == identity(g)
     assert a.inv().inv() == a
     assert (a @ b).inv() == b.inv() @ a.inv()
+
+
+ENTRIES = {
+    "dense": st.integers(-3, 3).filter(bool),
+    "sparse": st.sampled_from((0, 0, 0, 0, 0, 0, 1, -1, 2)),
+    "large": st.integers(-2**80, 2**80),
+}
+
+
+def _square(n, kind):
+    row = st.one_of(st.just([0] * n), st.lists(ENTRIES[kind], min_size=n, max_size=n))
+    return st.lists(row, min_size=n, max_size=n)
+
+
+@PROPERTY
+@given(data=st.data(), n=st.integers(1, 8),
+       kinds=st.tuples(st.sampled_from(sorted(ENTRIES)), st.sampled_from(sorted(ENTRIES))))
+def test_mul_rows_matches_plain_product(data, n, kinds):
+    a = data.draw(_square(n, kinds[0]))
+    b = data.draw(_square(n, kinds[1]))
+    assert mul_rows(a, b) == tuple(map(tuple, mm(a, b)))
+
+
+def _generator_pool(g):
+    mats = [u.twist for u in lickorish_system(g).curves]
+    if g == 3:
+        mats += [c.matrix for c in theorem_generators(3)]
+    return [[list(r) for r in m.rows] for m in mats + [m.inv() for m in mats]]
+
+
+POOLS = {g: _generator_pool(g) for g in (2, 3)}
+
+
+@PROPERTY
+@given(data=st.data(), g=st.sampled_from((2, 3)))
+def test_symplectic_check_matches_column_oracle(data, g):
+    pool = POOLS[g]
+    word = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=8))
+    n = 2 * g
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in word:
+        rows = mm(rows, pool[k])
+    assert is_symplectic_rows(rows, g)
+    assert symplectic_oracle(rows, g)
+    # negative control: adding d to entry (i, j) changes M^T J M by d (A - A^T),
+    # where A holds row i of J M in row j; that vanishes only when the row is
+    # supported at column j alone, so j is drawn off such a support
+    i = data.draw(st.integers(0, n - 1))
+    jm_row = rows[i + g] if i < g else rows[i - g]
+    cols = [j for j in range(n) if any(jm_row[k] for k in range(n) if k != j)]
+    j = data.draw(st.sampled_from(cols))
+    rows[i][j] += data.draw(st.integers(-3, 3).filter(bool))
+    assert not is_symplectic_rows(rows, g)
+    assert not symplectic_oracle(rows, g)
+    with pytest.raises(ValueError):
+        SympMatrix(rows)
+
+
+@PROPERTY
+@given(data=st.data(), g=st.integers(2, 6))
+def test_twist_is_built_once_per_curve(data, g):
+    curves = list(lickorish_system(g).curves)
+    if g >= 3:
+        curves += [lantern_configuration(g).roles[r] for r in "yz"]
+    u = data.draw(st.sampled_from(curves))
+    assert u.twist is u.twist
+    assert u.twist == transvection(u.cls)
+    assert [list(r) for r in u.twist.rows] == tv(u.cls.coords, g)
+
+
+@PROPERTY
+@given(g=st.integers(2, 9))
+def test_sign_solver_is_deterministic(g):
+    record = convention_record(g)
+    fresh = lickorish_system.__wrapped__(g)
+    assert fresh.c_signs == lickorish_system(g).c_signs
+    with mock.patch.object(theorem, "lickorish_system", lambda _: fresh):
+        assert convention_record(g) == record

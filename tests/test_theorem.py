@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from mcgtorsion.curves import lickorish_system
-from mcgtorsion import theorem
+from mcgtorsion import theorem, torsion
 from mcgtorsion.symplectic import alpha, identity, reduce_mod_p, transvection
 from mcgtorsion.theorem import (
     certificate_mode,
@@ -278,3 +278,18 @@ def test_same_subgroup_witnesses_evaluate():
     for gi in word:
         acc = mul_mod(acc, mats2[gi], 2)
     assert acc == target
+
+
+def test_full_report_builds_generators_once(monkeypatch):
+    calls = []
+    real = torsion.build_f1
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(torsion, "build_f1", counting)
+    torsion.theorem_generators.cache_clear()
+    report, _ = full_theorem_report(4)
+    assert report["passed"]
+    assert calls == [4]

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
+from math import comb
 
 import pytest
 
-from mcgtorsion.curves import lickorish_system
+from mcgtorsion import curves
+from mcgtorsion.curves import chain_configuration, lantern_configuration, lickorish_system
 from mcgtorsion.symplectic import HomologyClass, identity, transvection
 from mcgtorsion.torsion import build_f2, theorem_generators
 from mcgtorsion.words import (
@@ -198,10 +201,37 @@ def test_conjugacy_property_random():
 
 
 def test_relation_suite_all_pass():
-    for g in (2, 3, 4):
+    # the whole genus ladder; from genus 3 on every unordered curve pair is
+    # checked, plus three chains and the lantern
+    for g in (2, 3, 4, 6, 8, 12, 16):
         verdicts = relation_suite(g)
         assert verdicts, "suite must not be empty"
         assert all(v.passed for v in verdicts)
+        if g >= 3:
+            assert len(verdicts) == comb(3 * g - 1, 2) + 4
+
+
+def test_relation_suite_builds_one_twist_per_curve(monkeypatch):
+    g = 8
+    for cached in (lickorish_system, lantern_configuration, chain_configuration):
+        cached.cache_clear()
+    lickorish_system(g)  # the sign solver's candidate curves are not counted
+    built = []
+    real = curves.transvection
+
+    def counting(cls):
+        built.append(cls.coords)
+        return real(cls)
+
+    monkeypatch.setattr(curves, "transvection", counting)
+    assert all(v.passed for v in relation_suite(g))
+    named = list(lickorish_system(g).curves)
+    named += [lantern_configuration(g).roles[r] for r in "yz"]
+    for t in (2, 3, 4):
+        named += chain_configuration(t, g).boundary
+    assert built
+    assert len(built) <= len(named)
+    assert not Counter(built) - Counter(u.cls.coords for u in named)
 
 
 def test_relation_suite_counts():
