@@ -100,7 +100,7 @@ def identity_rows(n):
 
 def mul_rows(a, b):
     """Exact product a b: row i is the sum of a[i][k] * b[k] over the nonzero a[i][k]."""
-    zero = (0,) * len(b[0]) if b else ()
+    zero = (0,) * len(b[0])
     out = []
     for row in a:
         acc = None
