@@ -12,8 +12,12 @@ cannot occur.  Matrices and classes are immutable and hashable.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
 from math import gcd
+from operator import mul
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -93,23 +97,35 @@ def symplectic_form(x, y):
 # Helpers on tuple-of-tuples rows.  Every SympMatrix is validated on
 # construction by is_symplectic_rows; both kernels below skip zero entries,
 # so a matrix that is the identity outside a few handles costs O(n * nnz).
+# Both also handle an identity row exactly, without arithmetic: mul_rows
+# returns b[i] for a row of a equal to e_i, and is_symplectic_rows skips a
+# row pair (e_k, e_{k+g}), whose term of P - U below is zero.
 
+@lru_cache(maxsize=None)
 def identity_rows(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def mul_rows(a, b):
-    """Exact product a b: row i is the sum of a[i][k] * b[k] over the nonzero a[i][k]."""
+    """Exact product a b of an m x k and a k x n matrix, as tuple rows.
+
+    A row of a equal to the identity row e_i gives b[i]; any other row is
+    the sum of x * b[k] over its nonzero entries x = a[i][k].
+    """
+    k = len(b)
+    eye = identity_rows(k)
     zero = (0,) * len(b[0])
     out = []
-    for row in a:
+    for i, row in enumerate(a):
+        if i < k and row == eye[i]:
+            out.append(tuple(b[i]))
+            continue
         acc = None
-        for x, brow in zip(row, b):
-            if x:
-                if acc is None:
-                    acc = brow if x == 1 else [x * y for y in brow]
-                else:
-                    acc = [s + x * y for s, y in zip(acc, brow)]
+        for x, brow in zip(filter(None, row), compress(b, row)):
+            if acc is None:
+                acc = brow if x == 1 else [x * y for y in brow]
+            else:
+                acc = [s + x * y for s, y in zip(acc, brow)]
         out.append(zero if acc is None else tuple(acc))
     return tuple(out)
 
@@ -128,21 +144,26 @@ def is_symplectic_rows(rows, g):
 
     With r_k the rows of M, M^T J M = P - P^T for P = sum_{k<g} r_k^T r_{k+g},
     and J = U - U^T for U = sum_{i<g} E_{i,g+i}, so M is symplectic exactly
-    when P - U is symmetric.  P is accumulated over the nonzero entries of
-    each row pair only.
+    when P - U is symmetric.  Pair k adds r_k^T r_{k+g} - E_{k,g+k} to P - U,
+    which is zero when (r_k, r_{k+g}) = (e_k, e_{k+g}), so such pairs are
+    skipped exactly.  P - U is kept as a dict keyed (i, j) over the nonzero
+    entries of the other pairs; M is symplectic iff each entry equals its
+    mirror.  The check always runs on the given rows: nothing is cached,
+    sampled or reduced mod p.
     """
-    n = 2 * g
-    p = [[0] * n for _ in range(n)]
-    for i in range(g):
-        p[i][g + i] = -1
+    eye = identity_rows(2 * g)
+    d = defaultdict(int)
     for k in range(g):
-        bottom = [(j, y) for j, y in enumerate(rows[k + g]) if y]
-        for i, x in enumerate(rows[k]):
+        top, bottom = rows[k], rows[k + g]
+        if top == eye[k] and bottom == eye[k + g]:
+            continue
+        d[k, g + k] -= 1
+        right = [(j, y) for j, y in enumerate(bottom) if y]
+        for i, x in enumerate(top):
             if x:
-                row = p[i]
-                for j, y in bottom:
-                    row[j] += x * y
-    return list(map(tuple, p)) == list(zip(*p))
+                for j, y in right:
+                    d[i, j] += x * y
+    return all(v == d.get((j, i), 0) for (i, j), v in d.items())
 
 
 class SympMatrix:
@@ -158,6 +179,20 @@ class SympMatrix:
         g = n // 2
         if genus is not None and genus != g:
             raise ValueError(f"genus mismatch: matrix is {n}x{n} but genus={genus}")
+        self._store(rows, g)
+
+    @classmethod
+    def _product(cls, rows, g):
+        """Matrix on rows that mul_rows built from validated genus-g matrices.
+
+        Such rows are already a square tuple of int tuples, so coercion and
+        the shape test are skipped; the symplectic check still runs.
+        """
+        m = cls.__new__(cls)
+        m._store(rows, g)
+        return m
+
+    def _store(self, rows, g):
         if not is_symplectic_rows(rows, g):
             raise ValueError("matrix does not preserve the symplectic form")
         object.__setattr__(self, "rows", rows)
@@ -184,7 +219,7 @@ class SympMatrix:
     def __matmul__(self, other):
         if self.genus != other.genus:
             raise ValueError(f"genus mismatch: {self.genus} vs {other.genus}")
-        return SympMatrix(mul_rows(self.rows, other.rows))
+        return SympMatrix._product(mul_rows(self.rows, other.rows), self.genus)
 
     def __mul__(self, other):
         return self.__matmul__(other)
@@ -206,7 +241,7 @@ class SympMatrix:
         j = j_rows(self.genus)
         jt = tuple(zip(*j))
         mt = tuple(zip(*self.rows))
-        return SympMatrix(mul_rows(mul_rows(jt, mt), j))
+        return SympMatrix._product(mul_rows(mul_rows(jt, mt), j), self.genus)
 
     def transpose_rows(self):
         return tuple(zip(*self.rows))
@@ -220,7 +255,7 @@ class SympMatrix:
         coords = x.coords if isinstance(x, HomologyClass) else _as_int_tuple(x)
         if len(coords) != self.dim:
             raise ValueError("dimension mismatch")
-        out = tuple(sum(r[k] * coords[k] for k in range(self.dim)) for r in self.rows)
+        out = tuple(sum(map(mul, r, coords)) for r in self.rows)
         if isinstance(x, HomologyClass):
             return HomologyClass(out, self.genus)
         return out

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mm, symplectic_oracle, tv
+from conftest import ident, mm, symplectic_oracle, tv
 from mcgtorsion import kernels, theorem
 from mcgtorsion.chain import StabilizerChain, mul_mod
 from mcgtorsion.curves import lantern_configuration, lickorish_system
@@ -113,18 +113,32 @@ ENTRIES = {
 }
 
 
-def _square(n, kind):
-    row = st.one_of(st.just([0] * n), st.lists(ENTRIES[kind], min_size=n, max_size=n))
-    return st.lists(row, min_size=n, max_size=n)
+def _matrix(data, m, k, kind):
+    """m x k rows: zero rows, rows of `kind` entries and identity rows e_i,
+    each a tuple or a list, since only a tuple row can match an identity row."""
+    rows = []
+    for i in range(m):
+        choices = [st.just((0,) * k), st.lists(ENTRIES[kind], min_size=k, max_size=k)]
+        if i < k:
+            choices.append(st.just(tuple(int(i == j) for j in range(k))))
+        row = data.draw(st.one_of(choices))
+        rows.append(data.draw(st.sampled_from((tuple, list)))(row))
+    return rows
+
+
+def _plain_product(a, b):
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
 
 
 @PROPERTY
-@given(data=st.data(), n=st.integers(1, 8),
+@given(data=st.data(), n=st.integers(1, 8), square=st.booleans(),
        kinds=st.tuples(st.sampled_from(sorted(ENTRIES)), st.sampled_from(sorted(ENTRIES))))
-def test_mul_rows_matches_plain_product(data, n, kinds):
-    a = data.draw(_square(n, kinds[0]))
-    b = data.draw(_square(n, kinds[1]))
-    assert mul_rows(a, b) == tuple(map(tuple, mm(a, b)))
+def test_mul_rows_matches_plain_product(data, n, square, kinds):
+    m, k = (n, n) if square else (data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8)))
+    a = _matrix(data, m, k, kinds[0])
+    b = _matrix(data, k, n, kinds[1])
+    assert mul_rows(a, b) == tuple(map(tuple, _plain_product(a, b)))
 
 
 def _generator_pool(g):
@@ -137,29 +151,53 @@ def _generator_pool(g):
 POOLS = {g: _generator_pool(g) for g in (2, 3)}
 
 
+def _tamper(data, rows, g, i):
+    """Add a nonzero d to an entry (i, j) of row i that must break M^T J M = J.
+
+    Adding d to entry (i, j) changes M^T J M by d (A - A^T), where A holds
+    row i of J M in row j; that vanishes only when the row is supported at
+    column j alone, so j is drawn off such a support.
+    """
+    n = 2 * g
+    jm_row = rows[i + g] if i < g else rows[i - g]
+    cols = [j for j in range(n) if any(jm_row[k] for k in range(n) if k != j)]
+    j = data.draw(st.sampled_from(cols))
+    rows = list(rows)
+    row = list(rows[i])
+    row[j] += data.draw(st.integers(-3, 3).filter(bool))
+    rows[i] = type(rows[i])(row)
+    return rows
+
+
 @PROPERTY
-@given(data=st.data(), g=st.sampled_from((2, 3)))
-def test_symplectic_check_matches_column_oracle(data, g):
+@given(data=st.data(), g=st.sampled_from((2, 3)), as_tuples=st.booleans())
+def test_symplectic_check_matches_column_oracle(data, g, as_tuples):
     pool = POOLS[g]
     word = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=8))
     n = 2 * g
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in word:
         rows = mm(rows, pool[k])
+    if as_tuples:
+        rows = [tuple(r) for r in rows]
     assert is_symplectic_rows(rows, g)
     assert symplectic_oracle(rows, g)
-    # negative control: adding d to entry (i, j) changes M^T J M by d (A - A^T),
-    # where A holds row i of J M in row j; that vanishes only when the row is
-    # supported at column j alone, so j is drawn off such a support
-    i = data.draw(st.integers(0, n - 1))
-    jm_row = rows[i + g] if i < g else rows[i - g]
-    cols = [j for j in range(n) if any(jm_row[k] for k in range(n) if k != j)]
-    j = data.draw(st.sampled_from(cols))
-    rows[i][j] += data.draw(st.integers(-3, 3).filter(bool))
-    assert not is_symplectic_rows(rows, g)
-    assert not symplectic_oracle(rows, g)
+    bad = _tamper(data, rows, g, data.draw(st.integers(0, n - 1)))
+    assert not is_symplectic_rows(bad, g)
+    assert not symplectic_oracle(bad, g)
     with pytest.raises(ValueError):
-        SympMatrix(rows)
+        SympMatrix(bad)
+    # the check skips a tuple row pair (e_k, e_{k+g}); one entry changed in
+    # such a pair must still be caught
+    eye = ident(n)
+    pairs = [k for k in range(g) if list(rows[k]) == eye[k] and list(rows[k + g]) == eye[k + g]]
+    if pairs:
+        k = data.draw(st.sampled_from(pairs))
+        bad = _tamper(data, rows, g, k + data.draw(st.sampled_from((0, g))))
+        assert not is_symplectic_rows(bad, g)
+        assert not symplectic_oracle(bad, g)
+        with pytest.raises(ValueError):
+            SympMatrix(bad)
 
 
 @PROPERTY

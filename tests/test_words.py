@@ -1,10 +1,11 @@
 import random
+import sys
 from collections import Counter
 from math import comb
 
 import pytest
 
-from mcgtorsion import curves
+from mcgtorsion import curves, symplectic
 from mcgtorsion.curves import chain_configuration, lantern_configuration, lickorish_system
 from mcgtorsion.symplectic import HomologyClass, identity, transvection
 from mcgtorsion.torsion import build_f2, theorem_generators
@@ -203,7 +204,7 @@ def test_conjugacy_property_random():
 def test_relation_suite_all_pass():
     # the whole genus ladder; from genus 3 on every unordered curve pair is
     # checked, plus three chains and the lantern
-    for g in (2, 3, 4, 6, 8, 12, 16):
+    for g in (2, 3, 4, 6, 8, 12, 16, 20, 24, 32):
         verdicts = relation_suite(g)
         assert verdicts, "suite must not be empty"
         assert all(v.passed for v in verdicts)
@@ -232,6 +233,60 @@ def test_relation_suite_builds_one_twist_per_curve(monkeypatch):
     assert built
     assert len(built) <= len(named)
     assert not Counter(built) - Counter(u.cls.coords for u in named)
+
+
+def test_relation_suite_validates_every_product_without_recoercion(monkeypatch):
+    g = 8
+    lickorish_system(g)
+    lantern_configuration(g)
+    for t in (2, 3, 4):
+        chain_configuration(t, g)
+    # every SympMatrix is made by __init__, __matmul__ or inv
+    made, validated, coerced = [], [], []
+    cls = symplectic.SympMatrix
+    real_init, real_matmul, real_inv = cls.__init__, cls.__matmul__, cls.inv
+    real_validate = symplectic.is_symplectic_rows
+    real_coerce = symplectic._as_int_tuple
+    product_code = {real_matmul.__code__, real_inv.__code__}
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        made.append(self)
+
+    def counting_matmul(self, other):
+        made.append(real_matmul(self, other))
+        return made[-1]
+
+    def counting_inv(self):
+        made.append(real_inv(self))
+        return made[-1]
+
+    def counting_validate(rows, g):
+        validated.append(rows)
+        return real_validate(rows, g)
+
+    def spying_coerce(seq):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in product_code:
+            frame = frame.f_back
+        coerced.append(frame is not None)
+        return real_coerce(seq)
+
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    monkeypatch.setattr(cls, "__matmul__", counting_matmul)
+    monkeypatch.setattr(cls, "inv", counting_inv)
+    monkeypatch.setattr(symplectic, "is_symplectic_rows", counting_validate)
+    monkeypatch.setattr(symplectic, "_as_int_tuple", spying_coerce)
+    assert all(v.passed for v in relation_suite(g))
+    # one symplectic check per matrix made, on the very rows it stores
+    assert made and len(validated) == len(made)
+    assert sorted(id(m.rows) for m in made) == sorted(map(id, validated))
+    assert not any(coerced), "a product's rows were coerced again"
+    # rows handed in from outside are still coerced to plain int tuples
+    m = symplectic.SympMatrix([[True, 0], [0, 1]])
+    assert coerced and not any(coerced)
+    assert type(m.rows) is tuple
+    assert all(type(r) is tuple and all(type(x) is int for x in r) for r in m.rows)
 
 
 def test_relation_suite_counts():
