@@ -14,12 +14,12 @@ recorded so reports can state the convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 from math import isqrt
 
 from .symplectic import (
+    Frozen,
     HomologyClass,
     alpha,
     beta,
@@ -32,19 +32,18 @@ from .symplectic import (
 )
 
 
-@dataclass(frozen=True)
-class NamedCurve:
+class NamedCurve(Frozen):
     """A symbolic curve with its class and separating flag."""
 
-    name: str
-    cls: HomologyClass
-    separating: bool = False
+    def __init__(self, name, cls, separating=False):
+        if separating != cls.is_zero:
+            raise ValueError(f"curve {name}: separating iff class is zero")
+        if not separating and not cls.is_primitive:
+            raise ValueError(f"curve {name}: non-separating class must be primitive")
+        self._set_fields(name=name, cls=cls, separating=separating)
 
-    def __post_init__(self):
-        if self.separating != self.cls.is_zero:
-            raise ValueError(f"curve {self.name}: separating iff class is zero")
-        if not self.separating and not self.cls.is_primitive:
-            raise ValueError(f"curve {self.name}: non-separating class must be primitive")
+    def __repr__(self):
+        return f"NamedCurve(name={self.name!r}, cls={self.cls!r}, separating={self.separating!r})"
 
     @cached_property
     def twist(self):
@@ -98,12 +97,10 @@ def shift_coords(coords, g):
     return (a[-1],) + a[:-1] + (b[-1],) + b[:-1]
 
 
-@dataclass(frozen=True)
-class LickorishSystem:
-    genus: int
-    curves: tuple
-    table: IntersectionTable = field(compare=False)
-    c_signs: tuple  # ((eps_i, eps'_i)) for c_1..c_{g-1}
+class LickorishSystem(Frozen):
+    def __init__(self, genus, curves, table, c_signs):
+        # c_signs: ((eps_i, eps'_i)) for c_1..c_{g-1}
+        self._set_fields(genus=genus, curves=curves, table=table, c_signs=c_signs)
 
     def curve(self, name):
         for u in self.curves:
@@ -243,8 +240,7 @@ def lickorish_table(g):
 LANTERN_ROLES = ("a", "b", "c", "d", "x", "y", "z")
 
 
-@dataclass(frozen=True)
-class LanternConfig:
+class LanternConfig(Frozen):
     """Seven curves on the four-holed sphere between handles 1 and 3.
 
     Boundary roles a, b, c, d are the curves a_1, c_2, a_3, c_1; the
@@ -253,10 +249,9 @@ class LanternConfig:
     the four boundary classes sum to zero.
     """
 
-    genus: int
-    roles: dict = field(compare=False)
-    boundary_orientations: dict = field(compare=False)
-    table: IntersectionTable = field(compare=False)
+    def __init__(self, genus, roles, boundary_orientations, table):
+        self._set_fields(genus=genus, roles=roles,
+                         boundary_orientations=boundary_orientations, table=table)
 
     def twist(self, role):
         return self.roles[role].twist
@@ -329,12 +324,10 @@ def chain_sequence(g):
     return names
 
 
-@dataclass(frozen=True)
-class ChainConfig:
-    genus: int
-    length: int
-    curves: tuple
-    boundary: tuple  # one separating curve (even t) or a pair d1, d2 (odd t)
+class ChainConfig(Frozen):
+    def __init__(self, genus, length, curves, boundary):
+        # boundary: one separating curve (even t) or a pair d1, d2 (odd t)
+        self._set_fields(genus=genus, length=length, curves=curves, boundary=boundary)
 
     @property
     def power(self):

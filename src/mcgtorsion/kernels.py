@@ -12,10 +12,8 @@ is a tuple of row tuples reduced mod p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chain import mul_mod
-from .symplectic import SMALL_PRIMES, xor_table
+from .symplectic import SMALL_PRIMES, Frozen, xor_table
 
 # perfbench/run.py's warm-up reads both names; there is only the pure closure.
 BACKEND = "pure"
@@ -28,18 +26,15 @@ def _state(mat, p):
     return tuple(tuple(x % p for x in row) for row in mat)
 
 
-@dataclass
-class ClosureResult:
+class ClosureResult(Frozen):
     """Result of a mod-p closure.
 
     states maps every state reached to its BFS parent link (state, generator
     index), or to None for the identity and when computed without parents.
     """
 
-    p: int
-    exceeded: bool
-    states: dict
-    with_parents: bool = False
+    def __init__(self, p, exceeded, states, with_parents=False):
+        self._set_fields(p=p, exceeded=exceeded, states=states, with_parents=with_parents)
 
     @property
     def size(self):

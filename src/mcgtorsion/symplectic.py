@@ -8,16 +8,18 @@ the twist along alpha is [[1, -1], [0, 1]].
 
 All arithmetic is over Python ints, so every result is exact and overflow
 cannot occur.  Matrices and classes are immutable and hashable.
+
+The package's record classes derive from Frozen instead of using
+dataclasses, whose import pulls in inspect, ast and dis and would be most
+of the package's import time.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import gcd
-from operator import mul
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -26,22 +28,48 @@ def _as_int_tuple(seq):
     return tuple(map(int, seq))
 
 
-@dataclass(frozen=True)
-class HomologyClass:
+class Frozen:
+    """Base of the immutable records: __init__ stores through object.__setattr__."""
+
+    __slots__ = ()
+
+    def _set_fields(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class HomologyClass(Frozen):
     """Integer homology class of an oriented simple closed curve."""
 
-    coords: tuple
-    genus: int
+    __slots__ = ("coords", "genus")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _as_int_tuple(self.coords))
-        if self.genus < 1:
-            raise ValueError(f"genus must be positive, got {self.genus}")
-        if len(self.coords) != 2 * self.genus:
+    def __init__(self, coords, genus):
+        coords = _as_int_tuple(coords)
+        if genus < 1:
+            raise ValueError(f"genus must be positive, got {genus}")
+        if len(coords) != 2 * genus:
             raise ValueError(
-                f"expected {2 * self.genus} coordinates for genus {self.genus}, "
-                f"got {len(self.coords)}"
+                f"expected {2 * genus} coordinates for genus {genus}, got {len(coords)}"
             )
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "genus", genus)
+
+    def __eq__(self, other):
+        if other.__class__ is not HomologyClass:
+            return NotImplemented
+        return self.coords == other.coords and self.genus == other.genus
+
+    def __hash__(self):
+        return hash((self.coords, self.genus))
+
+    def __repr__(self):
+        return f"HomologyClass(coords={self.coords!r}, genus={self.genus!r})"
 
     @property
     def is_zero(self):
@@ -166,10 +194,10 @@ def is_symplectic_rows(rows, g):
     return all(v == d.get((j, i), 0) for (i, j), v in d.items())
 
 
-class SympMatrix:
+class SympMatrix(Frozen):
     """Immutable 2g x 2g integer matrix with M^T J M = J."""
 
-    __slots__ = ("rows", "genus", "_hash")
+    __slots__ = ("rows", "genus", "_hash", "_cols")
 
     def __init__(self, rows, genus=None):
         rows = tuple(_as_int_tuple(r) for r in rows)
@@ -198,9 +226,7 @@ class SympMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "genus", g)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SympMatrix is immutable")
+        object.__setattr__(self, "_cols", None)
 
     @property
     def dim(self):
@@ -244,18 +270,27 @@ class SympMatrix:
         return SympMatrix._product(mul_rows(mul_rows(jt, mt), j), self.genus)
 
     def transpose_rows(self):
-        return tuple(zip(*self.rows))
+        """The columns of M as tuple rows, computed on first use and kept."""
+        cols = self._cols
+        if cols is None:
+            cols = tuple(zip(*self.rows))
+            object.__setattr__(self, "_cols", cols)
+        return cols
 
     @property
     def is_identity(self):
         return self.rows == identity_rows(self.dim)
 
     def apply(self, x):
-        """Image of a HomologyClass (or coordinate tuple) under the matrix."""
+        """Image of a HomologyClass (or coordinate tuple) under the matrix.
+
+        M x is computed as the row vector x^T M^T by mul_rows, which skips
+        the zero coordinates of x: O(n * nnz(x)) rather than O(n^2).
+        """
         coords = x.coords if isinstance(x, HomologyClass) else _as_int_tuple(x)
         if len(coords) != self.dim:
             raise ValueError("dimension mismatch")
-        out = tuple(sum(map(mul, r, coords)) for r in self.rows)
+        out = mul_rows((coords,), self.transpose_rows())[0]
         if isinstance(x, HomologyClass):
             return HomologyClass(out, self.genus)
         return out

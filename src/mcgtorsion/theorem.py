@@ -24,12 +24,11 @@ the Torelli kernel are invisible by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import kernels
 from .chain import StabilizerChain
 from .curves import lickorish_system
 from .symplectic import (
+    Frozen,
     alpha,
     element_order,
     reduce_mod_p,
@@ -49,14 +48,11 @@ HOMOLOGY_CAVEAT = (
 TRANSITIVITY_LIMIT = 2_000_000
 
 
-@dataclass(frozen=True)
-class OrbitSet:
+class OrbitSet(Frozen):
     """Curve classes reached from a seed, canonicalized up to global sign."""
 
-    genus: int
-    classes: frozenset
-    depth: int
-    exceeded: bool
+    def __init__(self, genus, classes, depth, exceeded):
+        self._set_fields(genus=genus, classes=classes, depth=depth, exceeded=exceeded)
 
     @property
     def size(self):

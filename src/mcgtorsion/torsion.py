@@ -18,12 +18,12 @@ all-minus candidate is enumerated first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
 from .curves import lantern_configuration, lickorish_system
 from .symplectic import (
+    Frozen,
     SympMatrix,
     alpha,
     element_order,
@@ -35,15 +35,12 @@ from .symplectic import (
 ORDER3_BLOCK = ((0, -1), (1, -1))
 
 
-@dataclass(frozen=True)
-class TorsionCertificate:
+class TorsionCertificate(Frozen):
     """A torsion element with machine-checked order and curve action."""
 
-    name: str
-    matrix: SympMatrix
-    claimed_order: int
-    curve_action: dict = field(compare=False)
-    notes: dict = field(default_factory=dict, compare=False)
+    def __init__(self, name, matrix, claimed_order, curve_action, notes=None):
+        self._set_fields(name=name, matrix=matrix, claimed_order=claimed_order,
+                         curve_action=curve_action, notes={} if notes is None else notes)
 
     def verify(self, curve_lookup):
         """Re-check the certificate invariants; raises on any failure."""

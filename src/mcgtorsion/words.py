@@ -11,14 +11,13 @@ reduces to the empty word.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .curves import (
     chain_configuration,
     lantern_configuration,
     lickorish_system,
 )
-from .symplectic import identity, transvection
+from .symplectic import Frozen, identity, transvection
 
 DEFAULT_ORDERS = {"F1": 2, "F2": 2, "F3": 3}
 
@@ -106,13 +105,12 @@ def twist_assignment(g):
     return {f"T{u.name}": u.twist for u in system.curves}
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """Outcome of one relation check."""
 
-    check: str
-    status: str  # "pass" | "fail" | "precondition"
-    details: dict = field(default_factory=dict, compare=False)
+    def __init__(self, check, status, details=None):
+        # status: "pass" | "fail" | "precondition"
+        self._set_fields(check=check, status=status, details={} if details is None else details)
 
     @property
     def passed(self):

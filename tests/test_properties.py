@@ -1,6 +1,6 @@
 """Property tests: the closure oracle against the stabilizer chain, words,
-inverses, the exact product and symplectic check against plain oracles, and
-the determinism of the sign solver."""
+inverses, the exact product, the matrix action and symplectic check against
+plain oracles, and the determinism of the sign solver."""
 
 from functools import lru_cache
 from unittest import mock
@@ -14,6 +14,7 @@ from mcgtorsion import kernels, theorem
 from mcgtorsion.chain import StabilizerChain, mul_mod
 from mcgtorsion.curves import lantern_configuration, lickorish_system
 from mcgtorsion.symplectic import (
+    HomologyClass,
     SympMatrix,
     identity,
     is_symplectic_rows,
@@ -22,7 +23,7 @@ from mcgtorsion.symplectic import (
     transvection,
 )
 from mcgtorsion.theorem import convention_record
-from mcgtorsion.torsion import theorem_generators
+from mcgtorsion.torsion import build_f1, build_f2, theorem_generators
 from mcgtorsion.words import evaluate, format_word, parse_word, reduce_word, twist_assignment
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -139,6 +140,44 @@ def test_mul_rows_matches_plain_product(data, n, square, kinds):
     a = _matrix(data, m, k, kinds[0])
     b = _matrix(data, k, n, kinds[1])
     assert mul_rows(a, b) == tuple(map(tuple, _plain_product(a, b)))
+
+
+def _apply_matrix(data, g):
+    """A random product of transvections along small classes, or f1 or f2."""
+    kind = data.draw(st.sampled_from(("transvections", "f1", "f2")))
+    if kind != "transvections":
+        return (build_f1 if kind == "f1" else build_f2)(g).matrix
+    m = identity(g)
+    for _ in range(data.draw(st.integers(0, 4))):
+        c = data.draw(st.lists(st.integers(-2, 2), min_size=2 * g, max_size=2 * g))
+        m = m @ transvection(HomologyClass(c, g))
+    return m
+
+
+@PROPERTY
+@given(data=st.data(), g=st.integers(3, 5))
+def test_apply_matches_dense_row_dot(data, g):
+    n = 2 * g
+    m = _apply_matrix(data, g)
+    h, twin = hash(m), SympMatrix(m.rows)
+    entries = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+    vectors = [data.draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(3)]
+    # the zero vector and every e_i, which mul_rows meets as an identity row
+    vectors += [[0] * n] + [[int(i == j) for j in range(n)] for i in range(n)]
+    for x in vectors:
+        want = tuple(sum(a * b for a, b in zip(row, x)) for row in m.rows)
+        for arg in (HomologyClass(x, g), tuple(x), list(x)):
+            out = m.apply(arg)
+            if isinstance(arg, HomologyClass):
+                assert out == HomologyClass(want, g)
+                out = out.coords
+            assert out == want
+            assert all(type(v) is int for v in out)
+    with pytest.raises(ValueError):
+        m.apply([0] * (n + 1))
+    # the transpose apply keeps does not enter == or hash
+    assert m == twin and twin == m
+    assert hash(m) == h == hash(twin)
 
 
 def _generator_pool(g):

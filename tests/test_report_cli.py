@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -11,6 +10,7 @@ from mcgtorsion import cli, theorem
 from mcgtorsion import report as report_mod
 from mcgtorsion.symplectic import identity
 from mcgtorsion.theorem import full_theorem_report
+from mcgtorsion.torsion import TorsionCertificate
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -226,7 +226,8 @@ def test_cli_witness_flag():
 def test_exit_status_reflects_verdicts(monkeypatch, capsys):
     # with f3 replaced by the identity the orbit words miss the b and c
     # curves: the run must exit 1 and name them
-    certs = [c if c.name != "f3" else replace(c, matrix=identity(4))
+    certs = [c if c.name != "f3" else TorsionCertificate(
+                 c.name, identity(4), c.claimed_order, c.curve_action, c.notes)
              for c in theorem.theorem_generators(4)]
     monkeypatch.setattr(theorem, "theorem_generators", lambda g: certs)
     assert cli.main(["--genus", "4", "--checks", "theorem"]) == 1

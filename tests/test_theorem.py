@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from mcgtorsion.curves import lickorish_system
@@ -18,7 +16,7 @@ from mcgtorsion.theorem import (
     property1_orbit_check,
     sp_modp_order,
 )
-from mcgtorsion.torsion import theorem_generators
+from mcgtorsion.torsion import TorsionCertificate, theorem_generators
 
 
 @pytest.mark.parametrize("g", range(3, 9))
@@ -102,7 +100,8 @@ def test_orbit_words_conjugate_twists(g):
 
 @pytest.mark.parametrize("g", (4, 5))
 def test_orbit_negative_control_f3_identity(monkeypatch, g):
-    certs = [c if c.name != "f3" else replace(c, matrix=identity(g))
+    certs = [c if c.name != "f3" else TorsionCertificate(
+                 c.name, identity(g), c.claimed_order, c.curve_action, c.notes)
              for c in theorem_generators(g)]
     monkeypatch.setattr(theorem, "theorem_generators", lambda g: certs)
     verdict, _ = property1_orbit_check(g)
