@@ -10,6 +10,16 @@ Computational Group Theory*, 4.4.1).  It stops only once every Schreier
 generator at every level sifts to the identity, so the product of the
 orbit lengths is the exact group order and sifting decides membership.
 
+At p = 2 a matrix is held as the tuple of its column bitmasks (bit i of
+entry j is M[i][j], symplectic.pack_columns) and vectors as ints.  A
+product a b is one lookup per column of b in a's `symplectic.xor_tables`,
+built once per left factor; the left factors are the strong generators and
+the stored transversal inverses, so the tables are reused.  Other primes
+hold a matrix as a tuple of rows.  The algorithm is written once: only the
+product and the column primitives depend on p.  The image of a base e_k
+under a matrix is the matrix's column k, so no separate matrix-vector
+product is needed.
+
 Every element carries a word over the input generator indices: the word
 (i, j, k) stands for G_i G_j G_k.  An inverse G_i^-1 is written as
 G_i^(ord(G_i) - 1), and runs of one index are folded modulo its order,
@@ -19,7 +29,9 @@ so words use generator indices only.
 from __future__ import annotations
 
 from itertools import chain
-from operator import mul
+from operator import getitem, mul
+
+from .symplectic import pack_columns, xor_tables
 
 
 def mul_mod(a, b, p):
@@ -28,21 +40,21 @@ def mul_mod(a, b, p):
     return tuple(tuple(sum(map(mul, row, col)) % p for col in bt) for row in a)
 
 
-def _apply(mat, vec, p):
-    return tuple(sum(map(mul, row, vec)) % p for row in mat)
+def _row_column(mat, k):
+    return tuple(row[k] for row in mat)
 
 
 class _Level:
-    """One level: base point, strong generators, orbit and transversal.
+    """One level: base point e_k, strong generators, orbit and transversal.
 
     trans maps each orbit point to an element u with u(base) = point;
-    done[k] counts the generators already applied to orbit[k].
+    done[j] counts the generators already applied to orbit[j].
     """
 
-    __slots__ = ("base", "gens", "orbit", "trans", "done")
+    __slots__ = ("k", "gens", "orbit", "trans", "done")
 
-    def __init__(self, base, ident):
-        self.base = base
+    def __init__(self, k, base, ident):
+        self.k = k
         self.gens = []
         self.orbit = [base]
         self.trans = {base: (ident, ident, (), ())}
@@ -65,14 +77,36 @@ class StabilizerChain:
         self.n = n = len(self.gens[0])
         if any(len(g) != n or any(len(row) != n for row in g) for g in self.gens):
             raise ValueError("generators must be square matrices of equal size")
-        self._ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        self._orders = [len(self._powers(g)) for g in self.gens]
+        if p == 2:
+            self._pack, self._mul, self._col = pack_columns, self._mul_f2, getitem
+            self._tables = {}
+        else:
+            self._pack, self._mul, self._col = tuple, self._mul_rows, _row_column
+        self._ident = self._pack(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        self._gens = [self._pack(g) for g in self.gens]
+        self._orders = [len(self._powers(g)) for g in self._gens]
         self._levels = []
-        first = [self._element(g, (i,)) for i, g in enumerate(self.gens) if g != self._ident]
+        first = [self._element(g, (i,)) for i, g in enumerate(self._gens) if g != self._ident]
         if first:
             self._new_level(first[0][0])
             self._levels[0].gens.extend(first)
         self._build()
+
+    def _mul_f2(self, a, b):
+        """a b over F_2 on column bitmasks: column j is a applied to b's column j."""
+        tables = self._tables.get(a)
+        if tables is None:
+            tables = self._tables[a] = xor_tables(a)
+        if len(tables) == 1:
+            return tuple(map(tables[0].__getitem__, b))
+        out = [tables[0][col & 0xFF] for col in b]
+        for c in range(1, len(tables)):
+            table, shift = tables[c], 8 * c
+            out = [x ^ table[(col >> shift) & 0xFF] for x, col in zip(out, b)]
+        return tuple(out)
+
+    def _mul_rows(self, a, b):
+        return mul_mod(a, b, self.p)
 
     def _powers(self, mat):
         """[mat, mat^2, ..., identity]; the length is the order of mat."""
@@ -81,7 +115,7 @@ class StabilizerChain:
             # an invertible matrix has order below p^n
             if len(powers) >= self.p ** self.n:
                 raise ValueError("generator is not invertible mod p")
-            powers.append(mul_mod(powers[-1], mat, self.p))
+            powers.append(self._mul(mat, powers[-1]))
         return powers
 
     def _element(self, mat, word):
@@ -104,9 +138,9 @@ class StabilizerChain:
 
     def _new_level(self, mat):
         """Append a level whose base is the first unit vector that mat moves."""
-        n = self.n
-        k = next(k for k in range(n) if any(mat[i][k] != (i == k) for i in range(n)))
-        self._levels.append(_Level(tuple(int(i == k) for i in range(n)), self._ident))
+        col, ident = self._col, self._ident
+        k = next(k for k in range(self.n) if col(mat, k) != col(ident, k))
+        self._levels.append(_Level(k, col(ident, k), ident))
 
     def _strip(self, h, start):
         """Sift the matrix h through the levels from start on.
@@ -116,10 +150,10 @@ class StabilizerChain:
         """
         used = []
         for level in self._levels[start:]:
-            u = level.trans.get(_apply(h, level.base, self.p))
+            u = level.trans.get(self._col(h, level.k))
             if u is None:
                 break
-            h = mul_mod(u[1], h, self.p)
+            h = self._mul(u[1], h)
             used.append(u)
         return h, start + len(used), used
 
@@ -130,31 +164,31 @@ class StabilizerChain:
         that does not sift to the identity through the deeper levels, else
         None.
         """
-        p = self.p
+        mul, col = self._mul, self._col
         level = self._levels[i]
-        gens, orbit, trans, done = level.gens, level.orbit, level.trans, level.done
-        k = 0
-        while k < len(orbit):
-            u = trans[orbit[k]]
-            while done[k] < len(gens):
-                s = gens[done[k]]
-                done[k] += 1
-                img = _apply(s[0], orbit[k], p)
-                su = mul_mod(s[0], u[0], p)
+        gens, orbit, trans, done, k = level.gens, level.orbit, level.trans, level.done, level.k
+        j = 0
+        while j < len(orbit):
+            u = trans[orbit[j]]
+            while done[j] < len(gens):
+                s = gens[done[j]]
+                done[j] += 1
+                su = mul(s[0], u[0])
+                # s u e_k = s(orbit[j]), as u e_k = orbit[j]
+                img = col(su, k)
                 t = trans.get(img)
                 if t is None:
                     word = self._fold(s[2] + u[2])
-                    trans[img] = (su, mul_mod(u[1], s[1], p), word,
-                                  self._fold(u[3] + s[3]))
+                    trans[img] = (su, mul(u[1], s[1]), word, self._fold(u[3] + s[3]))
                     orbit.append(img)
                     done.append(0)
                     continue
-                residue, j, used = self._strip(mul_mod(t[1], su, p), i + 1)
+                residue, end, used = self._strip(mul(t[1], su), i + 1)
                 if residue != self._ident:
                     word = self._fold(chain(*(v[3] for v in reversed(used)),
                                             t[3], s[2], u[2]))
-                    return self._element(residue, word), j
-            k += 1
+                    return self._element(residue, word), end
+            j += 1
         return None
 
     def _build(self):
@@ -179,16 +213,32 @@ class StabilizerChain:
         return total
 
     def sift(self, mat):
-        """Word over generator indices evaluating to mat, or None if not a member."""
-        mat = tuple(tuple(x % self.p for x in row) for row in mat)
+        """Word over generator indices evaluating to mat, or None if not a member.
+
+        mat is an n x n integer matrix given as a sequence of rows; any other
+        shape raises ValueError.
+        """
+        n = self.n
+        if len(mat) != n or any(len(row) != n for row in mat):
+            raise ValueError(f"expected a {n}x{n} matrix")
+        mat = self._pack(tuple(tuple(x % self.p for x in row) for row in mat))
         residue, _, used = self._strip(mat, 0)
         if residue != self._ident:
             return None
         return self._fold(chain(*(u[2] for u in used)))
 
     def evaluate(self, word):
-        """The matrix G_{w0} G_{w1} ... mod p for a word over generator indices."""
+        """The matrix G_{w0} G_{w1} ... mod p, as tuples of rows.
+
+        word is a sequence of generator indices in range(len(gens)); any
+        other index raises ValueError.
+        """
+        count = len(self._gens)
+        if any(not 0 <= x < count for x in word):
+            raise ValueError(f"generator index out of range(0, {count}) in {tuple(word)}")
         acc = self._ident
-        for x in word:
-            acc = mul_mod(acc, self.gens[x], self.p)
+        for x in reversed(word):
+            acc = self._mul(self._gens[x], acc)
+        if self.p == 2:
+            return tuple(tuple((col >> i) & 1 for col in acc) for i in range(self.n))
         return acc

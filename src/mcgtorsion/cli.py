@@ -38,7 +38,8 @@ def build_parser():
             "at the level of the integral symplectic representation."
         ),
     )
-    parser.add_argument("--genus", type=int, required=True, help="surface genus, >= 3")
+    parser.add_argument("--genus", type=int, required=True,
+                        help="surface genus, >= 2 (torsion, theorem and modp need >= 3)")
     parser.add_argument(
         "--checks",
         default=None,

@@ -363,6 +363,21 @@ def xor_table(rows):
     return table
 
 
+def pack_columns(rows):
+    """The columns of an integer matrix mod 2 as bitmasks: bit i of entry j is rows[i][j]."""
+    return tuple(sum((row[j] & 1) << i for i, row in enumerate(rows))
+                 for j in range(len(rows[0])))
+
+
+def xor_tables(cols):
+    """Lookup tables of the F_2 matrix M with column bitmasks cols, eight columns each.
+
+    M v is the XOR of tables[c][(v >> 8c) & 0xFF] over the chunks c, so a
+    matrix-vector product costs one lookup per chunk.
+    """
+    return [xor_table(cols[c:c + 8]) for c in range(0, len(cols), 8)]
+
+
 def reduce_mod_p(m, p):
     """Entrywise reduction of a SympMatrix to tuples over F_p.
 

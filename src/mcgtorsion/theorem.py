@@ -31,9 +31,10 @@ from .symplectic import (
     Frozen,
     alpha,
     element_order,
+    pack_columns,
     reduce_mod_p,
     transvection,
-    xor_table,
+    xor_tables,
 )
 from .torsion import theorem_generators, _pi_rotations, build_f3, build_genus3_extras
 from .words import Verdict, relation_suite
@@ -264,29 +265,36 @@ def _orbit_packed(mats, n, limit):
     """Vector orbit over F_2 with each vector held as an int (bit k = entry k).
 
     M v is the XOR of the columns of M picked out by v, read eight
-    coordinates at a time from per-chunk lookup tables.
+    coordinates at a time from per-chunk lookup tables, for n <= 24 (at most
+    three chunks).  Each level maps the whole frontier through one generator
+    at a time, and a bitmap of 2^n bytes marks the vectors seen.
     """
-    maps = []
-    for m in mats:
-        cols = [sum(m[i][k] << i for i in range(n)) for k in range(n)]
-        chunks = [cols[c:c + 8] for c in range(0, n, 8)]
-        maps.append([xor_table(chunk) for chunk in chunks])
-    seen = {1}
+    maps = [xor_tables(pack_columns(m)) for m in mats]
+    seen = bytearray(1 << n)
+    seen[1] = 1
+    size = 1
     frontier = [1]
     while frontier:
         nxt = []
-        for v in frontier:
-            for tables in maps:
-                img = 0
-                for c, table in enumerate(tables):
-                    img ^= table[(v >> (8 * c)) & 0xFF]
-                if img not in seen:
-                    if len(seen) >= limit:
-                        return len(seen), True
-                    seen.add(img)
+        for tables in maps:
+            if len(tables) == 1:
+                (t0,) = tables
+                images = [t0[v] for v in frontier]
+            elif len(tables) == 2:
+                t0, t1 = tables
+                images = [t0[v & 0xFF] ^ t1[v >> 8] for v in frontier]
+            else:
+                t0, t1, t2 = tables
+                images = [t0[v & 0xFF] ^ t1[(v >> 8) & 0xFF] ^ t2[v >> 16] for v in frontier]
+            for img in images:
+                if not seen[img]:
+                    if size >= limit:
+                        return size, True
+                    seen[img] = 1
+                    size += 1
                     nxt.append(img)
         frontier = nxt
-    return len(seen), False
+    return size, False
 
 
 def _orbit_generic(mats, p, n, limit):
@@ -311,10 +319,14 @@ def modp_vector_orbit_size(generators, p, limit):
     """Size of the orbit of the first basis vector among nonzero mod-p vectors.
 
     Returns (size, exceeded); the search stops once limit vectors are seen.
+    At p = 2 the search marks vectors in a bitmap of 2^n bytes, so it
+    raises ValueError when 2^n - 1 exceeds TRANSITIVITY_LIMIT.
     """
     if not generators:
         raise ValueError("need at least one generator")
     n = generators[0].dim
+    if p == 2 and 2 ** n - 1 > TRANSITIVITY_LIMIT:
+        raise ValueError(f"2^{n}-1 nonzero vectors exceed {TRANSITIVITY_LIMIT}")
     mats = [reduce_mod_p(m, p) for m in generators]
     if p == 2:
         return _orbit_packed(mats, n, limit)

@@ -1,5 +1,6 @@
 import pytest
 
+from mcgtorsion import chain as chain_mod
 from mcgtorsion import theorem
 from mcgtorsion.chain import StabilizerChain
 from mcgtorsion.curves import lickorish_system
@@ -9,6 +10,7 @@ from mcgtorsion.theorem import (
     _orbit_packed,
     modp_certificate,
     modp_subgroup_order,
+    modp_vector_orbit_size,
     sp_modp_order,
 )
 from mcgtorsion.torsion import theorem_generators
@@ -99,11 +101,106 @@ def test_membership_witnesses_replay_g3():
         assert _replay(word, mats, 2) == reduce_mod_p(u.twist, 2)
 
 
-@pytest.mark.parametrize("g", range(3, 7))
+@pytest.mark.parametrize("g", range(3, 10))
 def test_packed_orbit_matches_generic(g):
+    # g = 7, 8, 9 (n = 14, 16, 18) read two and three 8-bit chunks per vector
     mats = [reduce_mod_p(c.matrix, 2) for c in theorem_generators(g)]
     n = 2 * g
-    assert _orbit_packed(mats, n, 10 ** 6) == _orbit_generic(mats, 2, n, 10 ** 6)
     assert _orbit_packed(mats, n, 10 ** 6) == (2 ** n - 1, False)
-    for limit in (1, 7, 40):
+    if g <= 6:  # the tuple orbit of all 2^n - 1 vectors is slow above g = 6
+        assert _orbit_generic(mats, 2, n, 10 ** 6) == (2 ** n - 1, False)
+    for limit in (1, 7, 40, 1000):
         assert _orbit_packed(mats, n, limit) == _orbit_generic(mats, 2, n, limit)
+
+
+@pytest.mark.parametrize("g", (4, 6, 8))
+def test_transitivity_negative_control_without_f3(g, monkeypatch):
+    # f1, f2 and Ta1 f2 Ta1^-1 only permute a_1 .. a_g up to sign
+    certs = [c for c in theorem_generators(g) if c.name != "f3"]
+    mats = [reduce_mod_p(c.matrix, 2) for c in certs]
+    assert _orbit_packed(mats, 2 * g, 10 ** 6) == (g, False)
+    monkeypatch.setattr(theorem, "theorem_generators", lambda genus: certs)
+    section = modp_certificate(g, 2)
+    assert section["mode"] == "transitivity"
+    assert section["orbit"] == {"orbit_size": g, "nonzero_vectors": 2 ** (2 * g) - 1}
+    assert not section["transitive"]
+    assert not section["passed"]
+
+
+def test_packed_orbit_bitmap_is_bounded():
+    # the bitmap has 2^n bytes: n = 20 is the largest the limit admits
+    assert modp_vector_orbit_size([identity(10)], 2, 10) == (1, False)
+    with pytest.raises(ValueError):
+        modp_vector_orbit_size([identity(11)], 2, 10)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4), (5, 5), (4, 3)])
+def test_sift_rejects_wrong_shape(p, shape):
+    chain = StabilizerChain([reduce_mod_p(m, p) for m in _twists(2)], p)
+    rows, cols = shape
+    with pytest.raises(ValueError):
+        chain.sift(tuple(tuple(int(i == j) for j in range(cols)) for i in range(rows)))
+    ragged = [list(row) for row in reduce_mod_p(identity(2), p)]
+    ragged[2].append(0)
+    with pytest.raises(ValueError):
+        chain.sift(ragged)
+    assert chain.sift(reduce_mod_p(identity(2), p)) == ()
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_evaluate_rejects_bad_index(p):
+    mats = [reduce_mod_p(m, p) for m in _twists(2)]
+    chain = StabilizerChain(mats, p)
+    for word in ((-1,), (len(mats),), (0, 1, -2)):
+        with pytest.raises(ValueError):
+            chain.evaluate(word)
+    assert chain.evaluate((len(mats) - 1, 0)) == _replay((len(mats) - 1, 0), mats, p)
+    assert chain.evaluate(()) == reduce_mod_p(identity(2), p)
+
+
+def test_mod2_chain_three_chunk_products():
+    # Sp(4,2) on the last two handles at g=9: columns have n = 18 bits, so
+    # every product reads three 8-bit chunks, the last one bits 16 and 17
+    gens = _twists(9, ("a8", "b8", "c8", "a9", "b9"))
+    bfs_order, closure = modp_subgroup_order(gens, 2)
+    mats = [reduce_mod_p(m, 2) for m in gens]
+    chain = StabilizerChain(mats, 2)
+    assert chain.order() == bfs_order == 720
+    for a in mats:
+        for b in mats:
+            prod = tuple(tuple(v % 2 for v in row) for row in mm(a, b))
+            word = chain.sift(prod)
+            assert closure.contains(prod)
+            assert word is not None
+            assert _replay(word, mats, 2) == prod
+    assert chain.sift(reduce_mod_p(_twists(9, ("a1",))[0], 2)) is None
+
+
+def test_mod2_certificate_stays_on_bitmasks(monkeypatch):
+    calls = []
+    real = chain_mod.mul_mod
+
+    def counting(a, b, p):
+        calls.append(p)
+        return real(a, b, p)
+
+    monkeypatch.setattr(chain_mod, "mul_mod", counting)
+    section = modp_certificate(3, 2, with_witnesses=True)
+    assert section["passed"]
+    assert calls == []
+    # control: the counter does see the row-tuple products of other primes
+    StabilizerChain([reduce_mod_p(m, 3) for m in _twists(2, ("a1", "b1"))], 3)
+    assert calls and set(calls) == {3}
+
+
+@pytest.mark.parametrize("g", (4, 5))
+def test_mod2_chain_reaches_sp8_and_sp10(g):
+    # n = 8 is one 8-bit chunk per column, n = 10 two
+    mats = [reduce_mod_p(c.matrix, 2) for c in theorem_generators(g)]
+    chain = StabilizerChain(mats, 2)
+    assert chain.order() == sp_modp_order(g, 2)
+    for target in (reduce_mod_p(m, 2) for m in _twists(g, ("a1", "b1", "c1"))):
+        word = chain.sift(target)
+        assert word is not None
+        assert _replay(word, mats, 2) == target

@@ -6,7 +6,7 @@ from functools import lru_cache
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import ident, mm, symplectic_oracle, tv
@@ -54,6 +54,48 @@ def test_closure_matches_chain_on_g2_twists(subset, p, data):
         prod = mul_mod(prod, mats[i], p)
     assert closure.contains(prod)
     assert chain.sift(prod) is not None
+
+
+G3_TORSION_MOD2 = [reduce_mod_p(c.matrix, 2) for c in theorem_generators(3)]
+# subsets of the g=3 torsion generators whose closure the BFS oracle finishes
+BFS_CAP = 25_000
+
+
+@lru_cache(maxsize=None)
+def _torsion_groups(subset):
+    mats = [G3_TORSION_MOD2[i] for i in subset]
+    return mats, kernels.modp_closure(mats, 2, cap=BFS_CAP), StabilizerChain(mats, 2)
+
+
+def _replay_mod2(word, mats):
+    acc = ident(6)
+    for x in word:
+        acc = [[v % 2 for v in row] for row in mm(acc, mats[x])]
+    return tuple(map(tuple, acc))
+
+
+@PROPERTY
+@given(
+    subset=st.sets(st.integers(0, len(G3_TORSION_MOD2) - 1), min_size=1).map(
+        lambda s: tuple(sorted(s))),
+    data=st.data(),
+)
+def test_mod2_chain_matches_closure_on_g3_torsion_subsets(subset, data):
+    mats, closure, chain = _torsion_groups(subset)
+    assume(not closure.exceeded)
+    assert chain.order() == closure.size
+    # membership of every g=3 torsion generator, inside the subgroup or not
+    for m in G3_TORSION_MOD2:
+        word = chain.sift(m)
+        assert (word is not None) == closure.contains(m)
+        if word is not None:
+            assert _replay_mod2(word, mats) == m
+            assert chain.evaluate(word) == m
+    drawn = data.draw(st.lists(st.integers(0, len(mats) - 1), max_size=12))
+    prod = _replay_mod2(drawn, mats)
+    word = chain.sift(prod)
+    assert word is not None
+    assert _replay_mod2(word, mats) == prod
 
 
 SYMBOLS = ("Ta1", "Tb1", "Ta2", "Tc1", "F1", "F2", "F3")

@@ -213,6 +213,12 @@ def test_cli_help_still_prints_usage():
     assert proc.stdout.startswith("usage: mcg-verify")
 
 
+def test_cli_help_states_the_accepted_genus():
+    # genus 2 is accepted for the relations check, so the help must not say >= 3
+    help_text = " ".join(_run_cli("--help").stdout.split())
+    assert "surface genus, >= 2 (torsion, theorem and modp need >= 3)" in help_text
+
+
 def test_cli_witness_flag():
     # orbit words are written with or without --witness
     proc = _run_cli("--genus", "3", "--checks", "theorem", "--output", "structured")

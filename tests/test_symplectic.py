@@ -12,9 +12,11 @@ from mcgtorsion.symplectic import (
     identity,
     mat_inv,
     mat_mul,
+    pack_columns,
     reduce_mod_p,
     symplectic_form,
     transvection,
+    xor_tables,
     zero_class,
 )
 
@@ -141,6 +143,32 @@ def test_reduce_mod_p_rejects_bad_p():
         reduce_mod_p(identity(2), 4)
     with pytest.raises(ValueError):
         reduce_mod_p(identity(2), 17)
+
+
+def test_pack_columns_bit_order():
+    rows = [[0] * 5 for _ in range(4)]
+    rows[3][1] = 1
+    rows[0][4] = -1  # odd entries of either sign pack to 1
+    rows[2][4] = 7
+    rows[1][0] = 2
+    assert pack_columns(rows) == (0, 1 << 3, 0, 0, (1 << 0) | (1 << 2))
+    assert pack_columns(ident(3)) == (1, 2, 4)
+
+
+@pytest.mark.parametrize("n", (1, 6, 8, 9, 16, 17, 20))
+def test_xor_tables_give_the_product_mod_2(n):
+    rng = random.Random(n)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    tables = xor_tables(pack_columns(rows))
+    assert len(tables) == -(-n // 8)
+    for _ in range(50):
+        v = [rng.randint(0, 1) for _ in range(n)]
+        bits = sum(x << k for k, x in enumerate(v))
+        img = 0
+        for c, table in enumerate(tables):
+            img ^= table[(bits >> (8 * c)) & 0xFF]
+        dense = [sum(row[k] * v[k] for k in range(n)) % 2 for row in rows]
+        assert img == sum(x << i for i, x in enumerate(dense))
 
 
 def _random_transvection_word(rng, g, max_len):
