@@ -10,7 +10,6 @@ import argparse
 import os
 import stat
 import sys
-import tempfile
 
 from . import report as report_mod
 from .symplectic import SMALL_PRIMES
@@ -118,8 +117,11 @@ def _write_out(path, text):
     A new or regular file (after following symlinks) is written to a temp
     file in its directory, synced and renamed over it, keeping the mode the
     file has or would get.  Anything else (a device, a FIFO) is written
-    directly.
+    directly.  tempfile is imported here: it loads random, shutil, bz2
+    and lzma, which only --out needs.
     """
+    import tempfile
+
     try:
         if os.path.exists(path) and not os.path.isfile(path):
             with open(path, "w") as fh:

@@ -24,9 +24,6 @@ from .symplectic import (
     alpha,
     beta,
     identity,
-    j_rows,
-    mul_rows,
-    symplectic_form,
     transvection,
     zero_class,
 )
@@ -79,10 +76,19 @@ class IntersectionTable:
 
 
 def intersections_consistent(curves, table):
-    """|algebraic pairing| <= geometric number, equal when the latter is 0 or 1."""
+    """|algebraic pairing| <= geometric number, equal when the latter is 0 or 1.
+
+    <x, y> = x . (J y) is summed over the nonzero coordinates of x only:
+    every Lickorish class has at most two.
+    """
+    support = [[(i, x) for i, x in enumerate(u.cls.coords) if x] for u in curves]
+    jy = []
+    for u in curves:
+        c, g = u.cls.coords, u.cls.genus
+        jy.append(c[g:] + tuple(-x for x in c[:g]))
     for i, u in enumerate(curves):
-        for v in curves[i + 1 :]:
-            f = abs(symplectic_form(u.cls, v.cls))
+        for t, v in enumerate(curves[i + 1 :], start=i + 1):
+            f = abs(sum(x * jy[t][k] for k, x in support[i]))
             k = table.get(u.name, v.name)
             if f > k:
                 return False
@@ -137,7 +143,7 @@ def _chain32_identity_holds(system):
     """(T_a1 T_b1 T_c1)^4 = T_a2^2 in the system's genus."""
     g = system.genus
     p = system.curve("a1").twist @ system.curve("b1").twist @ system.curve("c1").twist
-    return p ** 4 == transvection(alpha(2, g)) ** 2
+    return p ** 4 == system.curve("a2").twist ** 2
 
 
 def _shift_equivariant(system):
@@ -345,29 +351,37 @@ def _factor_double_transvection(q, g):
 
     (Q - I) J equals 2 d d^T, which determines d up to sign; the first
     nonzero diagonal entry fixes the scale and the corresponding column
-    gives the remaining coordinates.
+    gives the remaining coordinates.  The nonzero rows of Q - I are the
+    moved rows of Q, and J moves entry (i, k) to (i, k -/+ g) with a sign,
+    so S = (Q - I) J / 2 is read off q.delta as rows of nonzero entries.
     """
-    n = 2 * g
-    diff = _mat_sub(q.rows, identity(g).rows)
-    s = mul_rows(diff, j_rows(g))
-    if any(x % 2 for row in s for x in row):
-        return None
-    s = tuple(tuple(x // 2 for x in row) for row in s)
-    pivot = next((i for i in range(n) if s[i][i] > 0), None)
+    s = {}
+    for i, row in q.delta.items():
+        diff = dict(row)
+        diff[i] = diff.get(i, 0) - 1
+        srow = {}
+        for k, x in diff.items():
+            if x % 2:
+                return None
+            if x:
+                srow[k + g if k < g else k - g] = (x if k < g else -x) // 2
+        s[i] = srow
+    pivot = min((i for i, row in s.items() if row.get(i, 0) > 0), default=None)
     if pivot is None:
         return None
     r = isqrt(s[pivot][pivot])
     if r * r != s[pivot][pivot]:
         return None
-    coords = []
-    for i in range(n):
-        if s[i][pivot] % r:
+    coords = [0] * (2 * g)
+    for i, row in s.items():
+        x = row.get(pivot, 0)
+        if x % r:
             return None
-        coords.append(s[i][pivot] // r)
-    d = tuple(coords)
-    if _outer(d, d) != s:
+        coords[i] = x // r
+    support = [(i, x) for i, x in enumerate(coords) if x]
+    if s != {i: {j: x * y for j, y in support} for i, x in support}:
         return None
-    return HomologyClass(d, g)
+    return HomologyClass(coords, g)
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,15 @@ the twist along alpha is [[1, -1], [0, 1]].
 All arithmetic is over Python ints, so every result is exact and overflow
 cannot occur.  Matrices and classes are immutable and hashable.
 
+A SympMatrix is stored as M = I + Delta, where Delta holds only the rows
+that differ from the identity, each as its nonzero entries.  A Lickorish
+twist moves at most two rows of at most three entries, so products,
+inverses, equality and the symplectic check cost O(nnz) rather than
+O(n^2).  Delta is canonical (no zero entry, no row equal to e_i), so two
+matrices are equal exactly when their Deltas are, and every matrix is
+checked to be symplectic once, on the Delta it stores.  The dense rows are
+a view for serialization and printing.
+
 The package's record classes derive from Frozen instead of using
 dataclasses, whose import pulls in inspect, ast and dis and would be most
 of the package's import time.
@@ -18,7 +27,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from itertools import compress
 from math import gcd
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -122,40 +130,75 @@ def symplectic_form(x, y):
     return sum(a[i] * b[g + i] - a[g + i] * b[i] for i in range(g))
 
 
-# Helpers on tuple-of-tuples rows.  Every SympMatrix is validated on
-# construction by is_symplectic_rows; both kernels below skip zero entries,
-# so a matrix that is the identity outside a few handles costs O(n * nnz).
-# Both also handle an identity row exactly, without arithmetic: mul_rows
-# returns b[i] for a row of a equal to e_i, and is_symplectic_rows skips a
-# row pair (e_k, e_{k+g}), whose term of P - U below is zero.
+# The kernels below work on the moved rows of M = I + Delta.  Delta maps each
+# row index i whose row of M differs from e_i to that row's nonzero entries
+# {j: x}; it stores no zero entry and no row equal to e_i, so it is
+# canonical, and a row absent from it is e_i by definition.  A product
+# computes only the moved rows of its left factor, reading rows of the right
+# factor by index, and keeps the right factor's moved rows that the left
+# leaves alone; the symplectic check visits only the row pairs Delta
+# touches.  So a product or check of twist-like matrices costs O(nnz), not
+# O(n^2), and every step is still exact integer arithmetic.  The rows of a
+# Delta are never mutated once built, so products may share them.  The two
+# kernels keep their row-era names because perfbench/tracer.py wraps
+# mul_rows and is_symplectic_rows by name.
 
 @lru_cache(maxsize=None)
 def identity_rows(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mul_rows(a, b):
-    """Exact product a b of an m x k and a k x n matrix, as tuple rows.
+def _delta(rows):
+    """The Delta of a square matrix given as int rows: the rows that are not e_i."""
+    out = {}
+    for i, row in enumerate(rows):
+        entries = {j: x for j, x in enumerate(row) if x}
+        if len(entries) != 1 or entries.get(i) != 1:
+            out[i] = entries
+    return out
 
-    A row of a equal to the identity row e_i gives b[i]; any other row is
-    the sum of x * b[k] over its nonzero entries x = a[i][k].
+
+def _dense(delta, n):
+    """The n x n matrix I + Delta as tuple rows."""
+    eye = identity_rows(n)
+    rows = []
+    for i in range(n):
+        entries = delta.get(i)
+        if entries is None:
+            rows.append(eye[i])
+        else:
+            row = [0] * n
+            for j, x in entries.items():
+                row[j] = x
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
+def mul_rows(a, b):
+    """Delta of the exact product (I + a)(I + b) of two square matrices.
+
+    Row i of the product is e_i B = b's row i when a leaves row i alone,
+    and otherwise the sum of x * (row k of B) over the entries x = a[i][k],
+    where a row k absent from b is e_k.
     """
-    k = len(b)
-    eye = identity_rows(k)
-    zero = (0,) * len(b[0])
-    out = []
-    for i, row in enumerate(a):
-        if i < k and row == eye[i]:
-            out.append(tuple(b[i]))
-            continue
-        acc = None
-        for x, brow in zip(filter(None, row), compress(b, row)):
-            if acc is None:
-                acc = brow if x == 1 else [x * y for y in brow]
+    out = {}
+    for i, row in a.items():
+        acc = {}
+        for k, x in row.items():
+            brow = b.get(k)
+            if brow is None:
+                acc[k] = acc.get(k, 0) + x
             else:
-                acc = [s + x * y for s, y in zip(acc, brow)]
-        out.append(zero if acc is None else tuple(acc))
-    return tuple(out)
+                for j, y in brow.items():
+                    acc[j] = acc.get(j, 0) + x * y
+        if 0 in acc.values():
+            acc = {j: v for j, v in acc.items() if v}
+        if len(acc) != 1 or acc.get(i) != 1:
+            out[i] = acc
+    for i, brow in b.items():
+        if i not in a:
+            out[i] = brow
+    return out
 
 
 def j_rows(g):
@@ -167,37 +210,62 @@ def j_rows(g):
     return tuple(tuple(r) for r in rows)
 
 
-def is_symplectic_rows(rows, g):
-    """M^T J M = J.
+def is_symplectic_rows(delta, g):
+    """M^T J M = J for the 2g x 2g matrix M = I + delta.
 
     With r_k the rows of M, M^T J M = P - P^T for P = sum_{k<g} r_k^T r_{k+g},
     and J = U - U^T for U = sum_{i<g} E_{i,g+i}, so M is symplectic exactly
     when P - U is symmetric.  Pair k adds r_k^T r_{k+g} - E_{k,g+k} to P - U,
-    which is zero when (r_k, r_{k+g}) = (e_k, e_{k+g}), so such pairs are
-    skipped exactly.  P - U is kept as a dict keyed (i, j) over the nonzero
-    entries of the other pairs; M is symplectic iff each entry equals its
-    mirror.  The check always runs on the given rows: nothing is cached,
-    sampled or reduced mod p.
+    which is zero when (r_k, r_{k+g}) = (e_k, e_{k+g}).  A row absent from
+    delta is e_i by definition, so the pairs with neither row in delta add
+    nothing and are skipped exactly.  The other pairs are summed into the
+    antisymmetric part of P - U, kept as a dict over i < j of entry (i, j)
+    minus entry (j, i); M is symplectic iff every value is zero.  The check
+    always runs on the given delta: nothing is cached, sampled or reduced
+    mod p.
     """
-    eye = identity_rows(2 * g)
     d = defaultdict(int)
-    for k in range(g):
-        top, bottom = rows[k], rows[k + g]
-        if top == eye[k] and bottom == eye[k + g]:
-            continue
+    for k in {i % g for i in delta}:
+        top, bottom = delta.get(k), delta.get(k + g)
+        if top is None:
+            top = {k: 1}
+        if bottom is None:
+            bottom = {k + g: 1}
         d[k, g + k] -= 1
-        right = [(j, y) for j, y in enumerate(bottom) if y]
-        for i, x in enumerate(top):
-            if x:
-                for j, y in right:
+        for i, x in top.items():
+            for j, y in bottom.items():
+                if i < j:
                     d[i, j] += x * y
-    return all(v == d.get((j, i), 0) for (i, j), v in d.items())
+                elif i > j:
+                    d[j, i] -= x * y
+    return not any(d.values())
+
+
+def _partner(k, g):
+    """(sigma(k), eps(k)): row k of J is eps(k) e_sigma(k)."""
+    return (k + g, 1) if k < g else (k - g, -1)
+
+
+def _plus_diagonal(row, i, x):
+    """The entries of row + x e_i as a new dict, without a zero entry."""
+    out = dict(row)
+    y = out.get(i, 0) + x
+    if y:
+        out[i] = y
+    else:
+        del out[i]
+    return out
 
 
 class SympMatrix(Frozen):
-    """Immutable 2g x 2g integer matrix with M^T J M = J."""
+    """Immutable 2g x 2g integer matrix with M^T J M = J, stored as I + delta.
 
-    __slots__ = ("rows", "genus", "_hash", "_cols")
+    delta is the canonical dict of moved rows described above the kernels;
+    it is validated once, when the matrix is made, and is not to be
+    mutated.  The dense rows are a view computed on first use.
+    """
+
+    __slots__ = ("delta", "genus", "_hash", "_rows")
 
     def __init__(self, rows, genus=None):
         rows = tuple(_as_int_tuple(r) for r in rows)
@@ -207,45 +275,55 @@ class SympMatrix(Frozen):
         g = n // 2
         if genus is not None and genus != g:
             raise ValueError(f"genus mismatch: matrix is {n}x{n} but genus={genus}")
-        self._store(rows, g)
+        self._store(_delta(rows), g)
 
     @classmethod
-    def _product(cls, rows, g):
-        """Matrix on rows that mul_rows built from validated genus-g matrices.
+    def _from_delta(cls, delta, g):
+        """Matrix on a canonical delta of int entries built by this module.
 
-        Such rows are already a square tuple of int tuples, so coercion and
-        the shape test are skipped; the symplectic check still runs.
+        Coercion and the shape test are skipped; the symplectic check still runs.
         """
         m = cls.__new__(cls)
-        m._store(rows, g)
+        m._store(delta, g)
         return m
 
-    def _store(self, rows, g):
-        if not is_symplectic_rows(rows, g):
+    def _store(self, delta, g):
+        if not is_symplectic_rows(delta, g):
             raise ValueError("matrix does not preserve the symplectic form")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "genus", g)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_cols", None)
+        object.__setattr__(self, "_rows", None)
 
     @property
     def dim(self):
         return 2 * self.genus
 
+    @property
+    def rows(self):
+        """The dense rows as a tuple of int tuples, computed on first use and kept."""
+        rows = self._rows
+        if rows is None:
+            rows = _dense(self.delta, self.dim)
+            object.__setattr__(self, "_rows", rows)
+        return rows
+
     def __eq__(self, other):
-        return isinstance(other, SympMatrix) and self.rows == other.rows
+        return (isinstance(other, SympMatrix) and self.genus == other.genus
+                and self.delta == other.delta)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(self.rows)
+            h = hash((self.genus, frozenset(
+                (i, frozenset(row.items())) for i, row in self.delta.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __matmul__(self, other):
         if self.genus != other.genus:
             raise ValueError(f"genus mismatch: {self.genus} vs {other.genus}")
-        return SympMatrix._product(mul_rows(self.rows, other.rows), self.genus)
+        return SympMatrix._from_delta(mul_rows(self.delta, other.delta), self.genus)
 
     def __mul__(self, other):
         return self.__matmul__(other)
@@ -263,40 +341,45 @@ class SympMatrix(Frozen):
         return result
 
     def inv(self):
-        """J^T M^T J, exact integer inverse of a symplectic matrix."""
-        j = j_rows(self.genus)
-        jt = tuple(zip(*j))
-        mt = tuple(zip(*self.rows))
-        return SympMatrix._product(mul_rows(mul_rows(jt, mt), j), self.genus)
+        """J^T M^T J = I + J^T D^T J with D = M - I: the exact integer inverse.
 
-    def transpose_rows(self):
-        """The columns of M as tuple rows, computed on first use and kept."""
-        cols = self._cols
-        if cols is None:
-            cols = tuple(zip(*self.rows))
-            object.__setattr__(self, "_cols", cols)
-        return cols
+        Row k of J is eps(k) e_sigma(k) (sigma(k) = k + g, eps = 1 for k < g;
+        k - g and -1 otherwise), so entry (q, p) of D lands at (sigma(p),
+        sigma(q)) of J^T D^T J, times eps(p) eps(q): O(nnz) work.
+        """
+        g = self.genus
+        out = {}
+        for q, row in self.delta.items():
+            sq, eq = _partner(q, g)
+            for p, x in _plus_diagonal(row, q, -1).items():
+                sp, ep = _partner(p, g)
+                out.setdefault(sp, {})[sq] = ep * eq * x
+        delta = {r: _plus_diagonal(row, r, 1) for r, row in out.items()}
+        return SympMatrix._from_delta(delta, g)
 
     @property
     def is_identity(self):
-        return self.rows == identity_rows(self.dim)
+        return not self.delta
 
     def apply(self, x):
         """Image of a HomologyClass (or coordinate tuple) under the matrix.
 
-        M x is computed as the row vector x^T M^T by mul_rows, which skips
-        the zero coordinates of x: O(n * nnz(x)) rather than O(n^2).
+        M x is x with each moved coordinate i replaced by the dot product of
+        row i with x: O(n + nnz) rather than O(n^2).
         """
         coords = x.coords if isinstance(x, HomologyClass) else _as_int_tuple(x)
         if len(coords) != self.dim:
             raise ValueError("dimension mismatch")
-        out = mul_rows((coords,), self.transpose_rows())[0]
+        out = list(coords)
+        for i, row in self.delta.items():
+            dot = 0
+            for j, v in row.items():
+                dot += v * coords[j]
+            out[i] = dot
+        out = tuple(out)
         if isinstance(x, HomologyClass):
             return HomologyClass(out, self.genus)
         return out
-
-    def col(self, k):
-        return tuple(r[k] for r in self.rows)
 
     def to_lists(self):
         """Row-major nested lists, for serialization."""
@@ -307,23 +390,26 @@ class SympMatrix(Frozen):
 
 
 def identity(g):
-    return SympMatrix(identity_rows(2 * g))
+    if g < 1:
+        raise ValueError(f"genus must be positive, got {g}")
+    return SympMatrix._from_delta({}, g)
 
 
 def transvection(c):
-    """Twist matrix of a class: x -> x + <x, c> c.
+    """Twist matrix of a class: x -> x + <x, c> c, built on its moved rows.
 
-    The zero class (a separating curve) gives the identity.
+    Row i is e_i + c_i w with w = J c (so <x, c> = w . x); only the rows with
+    c_i != 0 move, and w has one entry per nonzero coordinate of c.  The
+    zero class (a separating curve) gives the identity.
     """
     g = c.genus
-    n = 2 * g
-    cc = c.coords
-    # w = J c, so <x, c> = w . x
-    w = tuple(cc[g + i] for i in range(g)) + tuple(-cc[i] for i in range(g))
-    rows = tuple(
-        tuple((1 if i == k else 0) + cc[i] * w[k] for k in range(n)) for i in range(n)
-    )
-    return SympMatrix(rows)
+    support = [(i, x) for i, x in enumerate(c.coords) if x]
+    w = {}
+    for i, x in support:
+        k, e = _partner(i, g)
+        w[k] = -e * x
+    delta = {i: _plus_diagonal({k: x * y for k, y in w.items()}, i, 1) for i, x in support}
+    return SympMatrix._from_delta(delta, g)
 
 
 def mat_mul(a, b):
@@ -387,10 +473,8 @@ def reduce_mod_p(m, p):
     if p not in SMALL_PRIMES:
         raise ValueError(f"p must be one of {SMALL_PRIMES}, got {p}")
     rows = tuple(tuple(x % p for x in r) for r in m.rows)
-    g = m.genus
-    j = j_rows(g)
-    jp = tuple(tuple(x % p for x in r) for r in j)
-    prod = mul_rows(mul_rows(tuple(zip(*rows)), jp), rows)
+    jp = tuple(tuple(x % p for x in r) for r in j_rows(m.genus))
+    prod = _dense(mul_rows(mul_rows(_delta(zip(*rows)), _delta(jp)), _delta(rows)), m.dim)
     if tuple(tuple(x % p for x in r) for r in prod) != jp:
         raise AssertionError("reduction lost the symplectic condition")
     return rows

@@ -33,7 +33,6 @@ from .symplectic import (
     element_order,
     pack_columns,
     reduce_mod_p,
-    transvection,
     xor_tables,
 )
 from .torsion import theorem_generators, _pi_rotations, build_f3, build_genus3_extras
@@ -174,8 +173,8 @@ def luo_decomposition_check(g, f2_override=None):
     _, f2, _, _ = _pi_rotations(g)
     if f2_override is not None:
         f2 = f2_override
-    ta1 = transvection(alpha(1, g))
-    ta2 = transvection(alpha(2, g))
+    system = lickorish_system(g)
+    ta1, ta2 = system.curve("a1").twist, system.curve("a2").twist
     target = ta2 @ ta1.inv()
     middle = (f2 @ ta1 @ f2) @ ta1.inv()
     luo_factor = ta1 @ f2 @ ta1.inv()
@@ -201,10 +200,11 @@ def lantern_assembly_check(g, f3_override=None):
         f3 = build_genus3_extras()[0].matrix
     else:
         raise ValueError(f"lantern assembly needs genus >= 3, got {g}")
-    e = transvection(alpha(2, g)) @ transvection(alpha(1, g)).inv()
+    system = lickorish_system(g)
+    e = system.curve("a2").twist @ system.curve("a1").twist.inv()
     f3i = f3.inv()
     rhs = e @ (f3 @ e @ f3i) @ (f3 @ f3 @ e @ f3i @ f3i)
-    lhs = transvection(lickorish_system(g).cls("c1"))
+    lhs = system.curve("c1").twist
     ok = lhs == rhs
     details = {}
     if not ok:

@@ -28,7 +28,6 @@ from .symplectic import (
     alpha,
     element_order,
     identity_rows,
-    transvection,
 )
 
 # order-3 handle block: alpha -> beta, beta -> -alpha - beta
@@ -80,18 +79,20 @@ def named_classes(g):
 
 
 def discover_action(m, classes):
-    """Map each named class to a signed named class under m, where possible."""
+    """Map each named class to a signed named class under m, where possible.
+
+    An image matching several classes goes to the first of them in the
+    order of classes, with sign +1 before -1 for the same class.
+    """
+    lookup = {}
+    for v, target in classes.items():
+        lookup.setdefault(target.coords, (v, 1))
+        lookup.setdefault(tuple(-x for x in target.coords), (v, -1))
     action = {}
     for u, cls in classes.items():
-        img = m.apply(cls).coords
-        neg = tuple(-x for x in img)
-        for v, target in classes.items():
-            if img == target.coords:
-                action[u] = (v, 1)
-                break
-            if neg == target.coords:
-                action[u] = (v, -1)
-                break
+        hit = lookup.get(m.apply(cls).coords)
+        if hit is not None:
+            action[u] = hit
     return action
 
 
@@ -111,8 +112,8 @@ def handle_shift(g):
 
 
 def _luo_identity_holds(g, f2):
-    ta1 = transvection(alpha(1, g))
-    ta2 = transvection(alpha(2, g))
+    system = lickorish_system(g)
+    ta1, ta2 = system.curve("a1").twist, system.curve("a2").twist
     return ta2 @ ta1.inv() == (f2 @ ta1 @ f2) @ ta1.inv()
 
 
@@ -171,7 +172,7 @@ def build_f2(g):
 def conjugated_involution(g):
     """Ta1 f2 Ta1^-1, the third involution of the generating set."""
     _, f2, _, _ = _pi_rotations(g)
-    ta1 = transvection(alpha(1, g))
+    ta1 = lickorish_system(g).curve("a1").twist
     m = ta1 @ f2 @ ta1.inv()
     classes = named_classes(g)
     cert = TorsionCertificate(
@@ -293,9 +294,10 @@ def _validate_f3(cert, g, global_form):
                 raise AssertionError(f"f3 does not send a{i} to a longitude")
     # the assembly identity this element exists for
     f3 = cert.matrix
-    e = transvection(alpha(2, g)) @ transvection(alpha(1, g)).inv()
+    system = lickorish_system(g)
+    e = system.curve("a2").twist @ system.curve("a1").twist.inv()
     rhs = e @ (f3 @ e @ f3.inv()) @ (f3 @ f3 @ e @ f3.inv() @ f3.inv())
-    if rhs != transvection(lickorish_system(g).cls("c1")):
+    if rhs != system.curve("c1").twist:
         raise AssertionError("f3 fails the lantern assembly identity")
 
 

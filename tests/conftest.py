@@ -61,3 +61,14 @@ def symplectic_oracle(rows, g):
             if form != (1 if j == i + g else 0):
                 return False
     return True
+
+
+def moved_rows(rows):
+    """The sparse form I + Delta of a square matrix: row index -> {column: entry}
+    over the nonzero entries of every row that is not the identity row e_i."""
+    out = {}
+    for i, row in enumerate(rows):
+        entries = {j: x for j, x in enumerate(row) if x}
+        if entries != {i: 1}:
+            out[i] = entries
+    return out

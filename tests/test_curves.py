@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
 from conftest import ident, mm, mpow, tv
 from mcgtorsion.curves import (
+    IntersectionTable,
     NamedCurve,
     chain_configuration,
     chain_sequence,
+    intersections_consistent,
     lantern_configuration,
     lickorish_curves,
     lickorish_system,
@@ -54,6 +58,32 @@ def test_pairing_matches_declared_intersections():
                 assert f <= k
                 if k <= 1:
                     assert f == k
+
+
+def test_intersections_consistent_matches_dense_pairing():
+    # random primitive classes, some with both coordinates of a handle set,
+    # and tables near their true pairings, against a pairing summed densely
+    rng = random.Random(2016)
+    verdicts = []
+    for _ in range(300):
+        g = rng.randint(1, 4)
+        curves = []
+        while len(curves) < 4:
+            cls = HomologyClass(tuple(rng.choice((-1, 0, 0, 1, 2)) for _ in range(2 * g)), g)
+            if cls.is_primitive:
+                curves.append(NamedCurve(f"u{len(curves)}", cls))
+        table = IntersectionTable()
+        want = True
+        for i, u in enumerate(curves):
+            for v in curves[i + 1 :]:
+                a, b = u.cls.coords, v.cls.coords
+                f = abs(sum(a[t] * b[g + t] - a[g + t] * b[t] for t in range(g)))
+                k = max(0, f + rng.choice((0, 0, 0, 0, 1, -1)))
+                table.set(u.name, v.name, k)
+                want &= f <= k and (k > 1 or f == k)
+        verdicts.append(want)
+        assert intersections_consistent(curves, table) == want
+    assert 30 < sum(verdicts) < 270
 
 
 def test_braid_hypothesis_pairs():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import ident, mm, symplectic_oracle, tv
+from conftest import ident, mm, moved_rows, symplectic_oracle, tv
 from mcgtorsion import kernels, theorem
 from mcgtorsion.chain import StabilizerChain, mul_mod
 from mcgtorsion.curves import lantern_configuration, lickorish_system
@@ -156,32 +156,25 @@ ENTRIES = {
 }
 
 
-def _matrix(data, m, k, kind):
-    """m x k rows: zero rows, rows of `kind` entries and identity rows e_i,
-    each a tuple or a list, since only a tuple row can match an identity row."""
+def _matrix(data, n, kind):
+    """n x n rows: zero rows, rows of `kind` entries and identity rows e_i."""
     rows = []
-    for i in range(m):
-        choices = [st.just((0,) * k), st.lists(ENTRIES[kind], min_size=k, max_size=k)]
-        if i < k:
-            choices.append(st.just(tuple(int(i == j) for j in range(k))))
-        row = data.draw(st.one_of(choices))
-        rows.append(data.draw(st.sampled_from((tuple, list)))(row))
+    for i in range(n):
+        choices = [st.just([0] * n), st.lists(ENTRIES[kind], min_size=n, max_size=n),
+                   st.just([int(i == j) for j in range(n)])]
+        rows.append(data.draw(st.one_of(choices)))
     return rows
 
 
-def _plain_product(a, b):
-    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
-
-
 @PROPERTY
-@given(data=st.data(), n=st.integers(1, 8), square=st.booleans(),
+@given(data=st.data(), n=st.integers(1, 8),
        kinds=st.tuples(st.sampled_from(sorted(ENTRIES)), st.sampled_from(sorted(ENTRIES))))
-def test_mul_rows_matches_plain_product(data, n, square, kinds):
-    m, k = (n, n) if square else (data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8)))
-    a = _matrix(data, m, k, kinds[0])
-    b = _matrix(data, k, n, kinds[1])
-    assert mul_rows(a, b) == tuple(map(tuple, _plain_product(a, b)))
+def test_mul_rows_matches_plain_product(data, n, kinds):
+    # on the moved rows of I + Delta: a zero row is a moved row with no
+    # entries, and an e_i row is absent from the input and must be from the output
+    a = _matrix(data, n, kinds[0])
+    b = _matrix(data, n, kinds[1])
+    assert mul_rows(moved_rows(a), moved_rows(b)) == moved_rows(mm(a, b))
 
 
 def _apply_matrix(data, g):
@@ -261,24 +254,97 @@ def test_symplectic_check_matches_column_oracle(data, g, as_tuples):
         rows = mm(rows, pool[k])
     if as_tuples:
         rows = [tuple(r) for r in rows]
-    assert is_symplectic_rows(rows, g)
+    assert is_symplectic_rows(moved_rows(rows), g)
     assert symplectic_oracle(rows, g)
+    assert SympMatrix(rows).delta == moved_rows(rows)
     bad = _tamper(data, rows, g, data.draw(st.integers(0, n - 1)))
-    assert not is_symplectic_rows(bad, g)
+    assert not is_symplectic_rows(moved_rows(bad), g)
     assert not symplectic_oracle(bad, g)
     with pytest.raises(ValueError):
         SympMatrix(bad)
-    # the check skips a tuple row pair (e_k, e_{k+g}); one entry changed in
-    # such a pair must still be caught
+    # the check skips a row pair (e_k, e_{k+g}) absent from Delta; one entry
+    # changed in such a pair moves that row into Delta and must be caught
     eye = ident(n)
     pairs = [k for k in range(g) if list(rows[k]) == eye[k] and list(rows[k + g]) == eye[k + g]]
     if pairs:
         k = data.draw(st.sampled_from(pairs))
         bad = _tamper(data, rows, g, k + data.draw(st.sampled_from((0, g))))
-        assert not is_symplectic_rows(bad, g)
+        assert not is_symplectic_rows(moved_rows(bad), g)
         assert not symplectic_oracle(bad, g)
         with pytest.raises(ValueError):
             SympMatrix(bad)
+
+
+def _word_pool(g):
+    """The Lickorish twists, f1, f2 and f3 at genus g, then their inverses."""
+    certs = theorem_generators(g)
+    mats = [u.twist for u in lickorish_system(g).curves] + [certs[i].matrix for i in (0, 1, 3)]
+    return mats + [m.inv() for m in mats]
+
+
+WORD_POOLS = {g: _word_pool(g) for g in (3, 4)}
+
+
+def _word(data, g, max_size=8):
+    return data.draw(st.lists(st.integers(0, len(WORD_POOLS[g]) - 1), max_size=max_size))
+
+
+def _product(word, g):
+    m = identity(g)
+    for k in word:
+        m = m @ WORD_POOLS[g][k]
+    return m
+
+
+@PROPERTY
+@given(data=st.data(), g=st.sampled_from((3, 4)))
+def test_delta_products_match_dense_products(data, g):
+    pool = WORD_POOLS[g]
+    dense = ident(2 * g)
+    m = identity(g)
+    for k in _word(data, g):
+        assert SympMatrix(pool[k].to_lists()) == pool[k]
+        dense = mm(dense, pool[k].to_lists())
+        m = m @ pool[k]
+        # canonical: no zero entry, no row equal to e_i, and nothing else
+        assert m.delta == moved_rows(dense)
+    assert m.to_lists() == dense
+    assert symplectic_oracle(dense, g)
+    assert m.is_identity == (dense == ident(2 * g))
+
+
+@pytest.mark.parametrize("g", (3, 4))
+def test_cancelling_products_have_empty_delta(g):
+    pool = WORD_POOLS[g]
+    f1, f3 = pool[3 * g - 1], pool[3 * g + 1]
+    products = [m @ m.inv() for m in pool] + [m.inv() @ m for m in pool]
+    products += [f1 @ f1, f3 @ f3 @ f3]
+    for prod in products:
+        assert prod.delta == {}
+        assert prod.is_identity
+        assert prod == identity(g) and hash(prod) == hash(identity(g))
+        assert prod.to_lists() == ident(2 * g)
+    assert identity(g) != identity(g + 1)
+
+
+@PROPERTY
+@given(data=st.data(), g=st.sampled_from((3, 4)), same=st.booleans())
+def test_equality_and_hash_follow_dense_rows(data, g, same):
+    half = len(WORD_POOLS[g]) // 2
+    word = _word(data, g)
+    if same:
+        # the same value by another word: insert a generator and its inverse
+        k = data.draw(st.integers(0, len(WORD_POOLS[g]) - 1))
+        at = data.draw(st.integers(0, len(word)))
+        other = word[:at] + [k, (k + half) % (2 * half)] + word[at:]
+    else:
+        other = _word(data, g)
+    a, b = _product(word, g), _product(other, g)
+    assert (a == b) == (a.to_lists() == b.to_lists())
+    if same:
+        assert a == b and b == a and hash(a) == hash(b)
+    twin = SympMatrix(a.to_lists())
+    assert twin == a and hash(twin) == hash(a)
 
 
 @PROPERTY

@@ -1,5 +1,5 @@
 """The record classes: immutability, HomologyClass value semantics, and an
-import of the CLI that stays clear of dataclasses and inspect."""
+import of the CLI that stays clear of dataclasses, inspect and tempfile."""
 
 import os
 import subprocess
@@ -74,9 +74,11 @@ def test_details_and_notes_default_to_fresh_dicts():
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
+    # tempfile (with random, shutil, bz2 and lzma) is loaded only by --out.
+    # -S skips site-packages' .pth start-up hooks, which may import it themselves.
     code = ("import sys, mcgtorsion.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'tempfile'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.strip() == "[]"

@@ -1,13 +1,14 @@
 import pytest
 
 from mcgtorsion.curves import lickorish_system
-from mcgtorsion.symplectic import alpha, beta, element_order, identity
+from mcgtorsion.symplectic import alpha, beta, element_order, identity, zero_class
 from mcgtorsion.torsion import (
     build_f1,
     build_f2,
     build_f3,
     build_genus3_extras,
     conjugated_involution,
+    discover_action,
     handle_shift,
     named_classes,
     sigma_matrix,
@@ -163,3 +164,32 @@ def test_f3_fixes_c1_with_plus_sign():
         assert cert.notes["c1_sign"] == 1
     f3_local, _ = build_genus3_extras()
     assert f3_local.notes["c1_sign"] == 1
+
+
+def _scan_action(m, classes):
+    """The first class, in order, that the image of each class hits up to sign."""
+    action = {}
+    for u, cls in classes.items():
+        img = m.apply(cls).coords
+        for v, target in classes.items():
+            if img == target.coords:
+                action[u] = (v, 1)
+                break
+            if img == tuple(-x for x in target.coords):
+                action[u] = (v, -1)
+                break
+    return action
+
+
+def test_discover_action_keeps_first_match_order():
+    g = 3
+    a1, b1 = alpha(1, g), beta(1, g)
+    classes = {"u": a1, "v": -a1, "w": a1, "x": b1, "y": -b1, "z": zero_class(g)}
+    assert discover_action(identity(g), classes) == {
+        "u": ("u", 1), "v": ("u", -1), "w": ("u", 1), "x": ("x", 1), "y": ("x", -1),
+        "z": ("z", 1)}
+    for g in (3, 4, 5):
+        classes = named_classes(g)
+        for cert in theorem_generators(g):
+            assert discover_action(cert.matrix, classes) == _scan_action(cert.matrix, classes)
+            assert cert.curve_action == _scan_action(cert.matrix, classes)

@@ -241,29 +241,36 @@ def test_relation_suite_validates_every_product_without_recoercion(monkeypatch):
     lantern_configuration(g)
     for t in (2, 3, 4):
         chain_configuration(t, g)
-    # every SympMatrix is made by __init__, __matmul__ or inv
-    made, validated, coerced = [], [], []
+    # every SympMatrix is made by __init__ or by _from_delta, which products,
+    # inverses, transvections and identity use
+    made, validated, coerced, results, densified = [], [], [], [], []
     cls = symplectic.SympMatrix
-    real_init, real_matmul, real_inv = cls.__init__, cls.__matmul__, cls.inv
+    real_init, real_from_delta = cls.__init__, cls._from_delta.__func__
+    real_matmul, real_inv = cls.__matmul__, cls.inv
     real_validate = symplectic.is_symplectic_rows
     real_coerce = symplectic._as_int_tuple
-    product_code = {real_matmul.__code__, real_inv.__code__}
+    real_dense = symplectic._dense
+    product_code = {real_matmul.__code__, real_inv.__code__, symplectic.transvection.__code__}
 
     def counting_init(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
         made.append(self)
 
-    def counting_matmul(self, other):
-        made.append(real_matmul(self, other))
+    def counting_from_delta(klass, delta, genus):
+        made.append(real_from_delta(klass, delta, genus))
         return made[-1]
 
-    def counting_inv(self):
-        made.append(real_inv(self))
-        return made[-1]
+    def spying_matmul(self, other):
+        results.append(real_matmul(self, other))
+        return results[-1]
 
-    def counting_validate(rows, g):
-        validated.append(rows)
-        return real_validate(rows, g)
+    def spying_inv(self):
+        results.append(real_inv(self))
+        return results[-1]
+
+    def counting_validate(delta, g):
+        validated.append(delta)
+        return real_validate(delta, g)
 
     def spying_coerce(seq):
         frame = sys._getframe(1)
@@ -272,21 +279,34 @@ def test_relation_suite_validates_every_product_without_recoercion(monkeypatch):
         coerced.append(frame is not None)
         return real_coerce(seq)
 
+    def spying_dense(delta, n):
+        densified.append(delta)
+        return real_dense(delta, n)
+
     monkeypatch.setattr(cls, "__init__", counting_init)
-    monkeypatch.setattr(cls, "__matmul__", counting_matmul)
-    monkeypatch.setattr(cls, "inv", counting_inv)
+    monkeypatch.setattr(cls, "_from_delta", classmethod(counting_from_delta))
+    monkeypatch.setattr(cls, "__matmul__", spying_matmul)
+    monkeypatch.setattr(cls, "inv", spying_inv)
     monkeypatch.setattr(symplectic, "is_symplectic_rows", counting_validate)
     monkeypatch.setattr(symplectic, "_as_int_tuple", spying_coerce)
+    monkeypatch.setattr(symplectic, "_dense", spying_dense)
     assert all(v.passed for v in relation_suite(g))
-    # one symplectic check per matrix made, on the very rows it stores
+    # one symplectic check per matrix made, on the very delta it stores
     assert made and len(validated) == len(made)
-    assert sorted(id(m.rows) for m in made) == sorted(map(id, validated))
+    assert sorted(id(m.delta) for m in made) == sorted(map(id, validated))
+    assert results and {id(m) for m in results} <= {id(m) for m in made}
     assert not any(coerced), "a product's rows were coerced again"
+    assert not densified, "the relation suite built dense rows"
     # rows handed in from outside are still coerced to plain int tuples
-    m = symplectic.SympMatrix([[True, 0], [0, 1]])
+    m = symplectic.SympMatrix([[True, 1], [0, 1]])
     assert coerced and not any(coerced)
+    assert made[-1] is m and validated[-1] is m.delta
+    assert m.delta == {0: {0: 1, 1: 1}}
+    assert all(type(x) is int for x in m.delta[0])
+    assert all(type(x) is int for x in m.delta[0].values())
     assert type(m.rows) is tuple
     assert all(type(r) is tuple and all(type(x) is int for x in r) for r in m.rows)
+    assert densified
 
 
 def test_relation_suite_counts():
