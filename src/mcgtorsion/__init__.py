@@ -25,8 +25,6 @@ from .symplectic import (
     beta,
     element_order,
     identity,
-    mat_inv,
-    mat_mul,
     reduce_mod_p,
     symplectic_form,
     transvection,

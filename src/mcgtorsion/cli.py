@@ -46,9 +46,6 @@ def build_parser():
     )
     parser.add_argument("--prime", type=int, default=None,
                         help="small prime for the modp certificate")
-    parser.add_argument("--enum-cap", type=int, default=None,
-                        help="largest |Sp(2g,p)| certified by exact order; larger groups "
-                             "get the transitivity certificate (default 2000000)")
     parser.add_argument("--witness", action="store_true",
                         help="record mod-p membership words (orbit words are always recorded)")
     parser.add_argument("--output", choices=("text", "structured"), default="text")
@@ -91,24 +88,6 @@ def _eval_word(g, text):
     lines = [f"word: {format_word(word)}"]
     lines += [" ".join(f"{x:4d}" for x in row) for row in matrix.rows]
     return "\n".join(lines) + "\n"
-
-
-def _cap(flag_value, flag, env_name):
-    """A positive cap from its flag, else from its environment variable, else None."""
-    if flag_value is not None:
-        value, source = flag_value, flag
-    else:
-        text = os.environ.get(env_name)
-        if not text:
-            return None
-        source = env_name
-        try:
-            value = int(text)
-        except ValueError:
-            raise UsageError(f"{env_name} must be a positive integer, got {text!r}")
-    if value < 1:
-        raise UsageError(f"{source} must be a positive integer, got {value}")
-    return value
 
 
 def _write_out(path, text):
@@ -167,13 +146,10 @@ def run(args):
     if checks is not None and "modp" in checks and args.prime is None:
         raise UsageError("--checks modp requires --prime")
 
-    enum_cap = _cap(args.enum_cap, "--enum-cap", "MCGTORSION_ENUM_CAP") or 2_000_000
-
     try:
         report, timings = full_theorem_report(
             args.genus,
             prime=args.prime,
-            enum_cap=enum_cap,
             with_witnesses=args.witness,
             checks=checks,
         )

@@ -412,14 +412,6 @@ def transvection(c):
     return SympMatrix._from_delta(delta, g)
 
 
-def mat_mul(a, b):
-    return a @ b
-
-
-def mat_inv(m):
-    return m.inv()
-
-
 def element_order(m, bound):
     """Smallest k <= bound with M^k = I, or None when every power misses.
 

@@ -7,15 +7,16 @@ the torsion group, and finite certificates that the generator images span
 the full symplectic group over a small prime.  The orbit property is
 certified by the paper's own words: a fixed generator word per curve,
 applied to a_1 and compared with the curve's class, so it needs no search
-and cannot be inconclusive.
+and always decides pass or fail.
 
-The mod-p certificate is exact order when |Sp(2g, p)| fits under the cap:
-stabilizer chains of the torsion and twist images give both orders
-exactly, and sifting each generator set through the other's chain decides
-membership both ways.  Above the cap it falls back to transitivity on
-nonzero vectors, which is run only for p in (2, 3) and only when every
-nonzero vector fits under the orbit limit; any other (genus, prime) pair
-is rejected before a check runs.
+The mod-p certificate is exact order when |Sp(2g, p)| is at most
+EXACT_ORDER_LIMIT: stabilizer chains of the torsion and twist images give
+both orders exactly, and sifting each generator set through the other's
+chain decides membership both ways.  Above that bound it falls back to
+transitivity on nonzero vectors, which is run only for p in (2, 3) and
+only when all p^(2g) - 1 nonzero vectors are at most TRANSITIVITY_LIMIT;
+any other (genus, prime) pair is rejected before a check runs.  The
+bounds are fixed, so every accepted pair is decided pass or fail.
 
 Everything here sees only the homology representation, so a passing run
 certifies necessary conditions of the generation statement; phenomena in
@@ -35,7 +36,14 @@ from .symplectic import (
     reduce_mod_p,
     xor_tables,
 )
-from .torsion import theorem_generators, _pi_rotations, build_f3, build_genus3_extras
+from .torsion import (
+    _pi_rotations,
+    build_f3,
+    build_genus3_extras,
+    lantern_assembly,
+    luo_decomposition,
+    theorem_generators,
+)
 from .words import Verdict, relation_suite
 
 HOMOLOGY_CAVEAT = (
@@ -44,7 +52,9 @@ HOMOLOGY_CAVEAT = (
 )
 
 
-# the most vectors the transitivity certificate's orbit search stores
+# the largest |Sp(2g, p)| certified by exact order
+EXACT_ORDER_LIMIT = 2_000_000
+# the most nonzero vectors the transitivity certificate's orbit stores
 TRANSITIVITY_LIMIT = 2_000_000
 
 
@@ -169,29 +179,13 @@ def property1_orbit_check(g):
 
 
 def luo_decomposition_check(g, f2_override=None):
-    """Ta2 Ta1^-1 = (f2 Ta1 f2) Ta1^-1 = f2 (Ta1 f2 Ta1^-1), involution included."""
+    """The Luo decomposition (torsion.luo_decomposition) with the built f2."""
     _, f2, _, _ = _pi_rotations(g)
-    if f2_override is not None:
-        f2 = f2_override
-    system = lickorish_system(g)
-    ta1, ta2 = system.curve("a1").twist, system.curve("a2").twist
-    target = ta2 @ ta1.inv()
-    middle = (f2 @ ta1 @ f2) @ ta1.inv()
-    luo_factor = ta1 @ f2 @ ta1.inv()
-    right = f2 @ luo_factor
-    ok = target == middle == right and (luo_factor @ luo_factor).is_identity
-    details = {"equal": target == middle == right,
-               "conjugate_is_involution": (luo_factor @ luo_factor).is_identity}
-    if not ok:
-        details["lhs_word"] = "Ta2 Ta1^-1"
-        details["lhs_matrix"] = target.to_lists()
-        details["middle_matrix"] = middle.to_lists()
-        details["rhs_matrix"] = right.to_lists()
-    return Verdict(f"luo(g={g})", "pass" if ok else "fail", details)
+    return luo_decomposition(g, f2 if f2_override is None else f2_override)
 
 
 def lantern_assembly_check(g, f3_override=None):
-    """T_c1 = (Ta2 Ta1^-1) f3(...)f3^-1 f3^2(...)f3^-2 with the built f3."""
+    """The lantern assembly of T_c1 (torsion.lantern_assembly) with the built f3."""
     if f3_override is not None:
         f3 = f3_override
     elif g >= 4:
@@ -200,21 +194,7 @@ def lantern_assembly_check(g, f3_override=None):
         f3 = build_genus3_extras()[0].matrix
     else:
         raise ValueError(f"lantern assembly needs genus >= 3, got {g}")
-    system = lickorish_system(g)
-    e = system.curve("a2").twist @ system.curve("a1").twist.inv()
-    f3i = f3.inv()
-    rhs = e @ (f3 @ e @ f3i) @ (f3 @ f3 @ e @ f3i @ f3i)
-    lhs = system.curve("c1").twist
-    ok = lhs == rhs
-    details = {}
-    if not ok:
-        details = {
-            "lhs_word": "Tc1",
-            "rhs_word": "(Ta2 Ta1^-1) (F3 Ta2 Ta1^-1 F3^-1) (F3^2 Ta2 Ta1^-1 F3^-2)",
-            "lhs_matrix": lhs.to_lists(),
-            "rhs_matrix": rhs.to_lists(),
-        }
-    return Verdict(f"lantern_assembly(g={g})", "pass" if ok else "fail", details)
+    return lantern_assembly(g, f3)
 
 
 def sp_modp_order(g, p):
@@ -236,33 +216,33 @@ def modp_subgroup_order(generators, p, cap=2_000_000, with_parents=False):
     return (None if result.exceeded else result.size), result
 
 
-def certificate_mode(g, p, enum_cap=2_000_000):
-    """The mod-p certificate that can decide generation at genus g, or None.
+def certificate_mode(g, p):
+    """The mod-p certificate that decides generation at genus g, or None.
 
-    "exact-order" when |Sp(2g, p)| <= enum_cap; else "transitivity" when
-    p is 2 or 3 and all p^(2g) - 1 nonzero vectors fit under
-    TRANSITIVITY_LIMIT; else None, since any run could only be inconclusive.
+    "exact-order" when |Sp(2g, p)| <= EXACT_ORDER_LIMIT; else "transitivity"
+    when p is 2 or 3 and all p^(2g) - 1 nonzero vectors fit under
+    TRANSITIVITY_LIMIT; else None, and the pair is rejected before any check.
     """
-    if sp_modp_order(g, p) <= enum_cap:
+    if sp_modp_order(g, p) <= EXACT_ORDER_LIMIT:
         return "exact-order"
     if p in (2, 3) and p ** (2 * g) - 1 <= TRANSITIVITY_LIMIT:
         return "transitivity"
     return None
 
 
-def _require_certificate(g, p, enum_cap):
-    mode = certificate_mode(g, p, enum_cap)
+def _require_certificate(g, p):
+    mode = certificate_mode(g, p)
     if mode is None:
         raise ValueError(
             f"no mod-{p} certificate at genus {g}: |Sp({2 * g},{p})| exceeds the "
-            f"enum cap {enum_cap}, and transitivity needs p in (2, 3) with "
-            f"p^{2 * g}-1 <= {TRANSITIVITY_LIMIT}"
+            f"exact-order bound {EXACT_ORDER_LIMIT}, and transitivity needs p in (2, 3) "
+            f"with p^{2 * g}-1 <= {TRANSITIVITY_LIMIT}"
         )
     return mode
 
 
-def _orbit_packed(mats, n, limit):
-    """Vector orbit over F_2 with each vector held as an int (bit k = entry k).
+def _orbit_packed(mats, n):
+    """Vector orbit size over F_2 with each vector held as an int (bit k = entry k).
 
     M v is the XOR of the columns of M picked out by v, read eight
     coordinates at a time from per-chunk lookup tables, for n <= 24 (at most
@@ -288,75 +268,60 @@ def _orbit_packed(mats, n, limit):
                 images = [t0[v & 0xFF] ^ t1[(v >> 8) & 0xFF] ^ t2[v >> 16] for v in frontier]
             for img in images:
                 if not seen[img]:
-                    if size >= limit:
-                        return size, True
                     seen[img] = 1
                     size += 1
                     nxt.append(img)
         frontier = nxt
-    return size, False
+    return size
 
 
-def _orbit_generic(mats, p, n, limit):
+def _orbit_generic(mats, p, n):
+    """Vector orbit size over F_p with vectors as tuples, summing over nonzero entries."""
+    sparse = [[[(k, x) for k, x in enumerate(row) if x] for row in m] for m in mats]
     seed = (1,) + (0,) * (n - 1)
     seen = {seed}
     frontier = [seed]
     while frontier:
         nxt = []
         for v in frontier:
-            for m in mats:
-                img = tuple(sum(row[k] * v[k] for k in range(n)) % p for row in m)
+            for m in sparse:
+                img = tuple(sum(x * v[k] for k, x in row) % p for row in m)
                 if img not in seen:
-                    if len(seen) >= limit:
-                        return len(seen), True
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt
-    return len(seen), False
+    return len(seen)
 
 
-def modp_vector_orbit_size(generators, p, limit):
-    """Size of the orbit of the first basis vector among nonzero mod-p vectors.
+def modp_transitivity(generators, p):
+    """Transitivity on the p^n - 1 nonzero vectors, by the orbit of the first basis vector.
 
-    Returns (size, exceeded); the search stops once limit vectors are seen.
-    At p = 2 the search marks vectors in a bitmap of 2^n bytes, so it
-    raises ValueError when 2^n - 1 exceeds TRANSITIVITY_LIMIT.
+    The orbit stores every vector it reaches, so it raises ValueError
+    unless p is 2 or 3 and p^n - 1 <= TRANSITIVITY_LIMIT.
     """
     if not generators:
         raise ValueError("need at least one generator")
     n = generators[0].dim
-    if p == 2 and 2 ** n - 1 > TRANSITIVITY_LIMIT:
-        raise ValueError(f"2^{n}-1 nonzero vectors exceed {TRANSITIVITY_LIMIT}")
-    mats = [reduce_mod_p(m, p) for m in generators]
-    if p == 2:
-        return _orbit_packed(mats, n, limit)
-    return _orbit_generic(mats, p, n, limit)
-
-
-def modp_transitivity(generators, p, limit=TRANSITIVITY_LIMIT):
-    """Transitivity on the p^(2g) - 1 nonzero vectors, by vector orbit BFS."""
-    if p not in (2, 3):
-        raise ValueError(f"transitivity check supports p in (2, 3), got {p}")
-    n = generators[0].dim
     total = p ** n - 1
-    size, exceeded = modp_vector_orbit_size(generators, p, limit)
-    if exceeded and size < total:
-        status = "inconclusive"
-    else:
-        status = "pass" if size == total else "fail"
+    if p not in (2, 3) or total > TRANSITIVITY_LIMIT:
+        raise ValueError(
+            f"transitivity needs p in (2, 3) with p^{n}-1 <= {TRANSITIVITY_LIMIT}, got p = {p}"
+        )
+    mats = [reduce_mod_p(m, p) for m in generators]
+    size = _orbit_packed(mats, n) if p == 2 else _orbit_generic(mats, p, n)
     return Verdict(
         f"modp_transitivity(p={p})",
-        status,
+        "pass" if size == total else "fail",
         {"orbit_size": size, "nonzero_vectors": total},
     )
 
 
-def modp_certificate(g, p, enum_cap=2_000_000, with_witnesses=False):
+def modp_certificate(g, p, with_witnesses=False):
     """Generation certificate mod p for the torsion set, exact-order or transitivity mode.
 
     Raises ValueError when neither mode can decide (see certificate_mode).
     """
-    mode = _require_certificate(g, p, enum_cap)
+    mode = _require_certificate(g, p)
     certs = theorem_generators(g)
     gens = [c.matrix for c in certs]
     expected = sp_modp_order(g, p)
@@ -423,8 +388,7 @@ def convention_record(g):
     return record
 
 
-def full_theorem_report(g, prime=None, enum_cap=2_000_000, with_witnesses=False,
-                        checks=None):
+def full_theorem_report(g, prime=None, with_witnesses=False, checks=None):
     """Aggregate report for one genus; returns (report_dict, timings_dict).
 
     checks is a subset of {"relations", "torsion", "theorem", "modp"};
@@ -453,7 +417,7 @@ def full_theorem_report(g, prime=None, enum_cap=2_000_000, with_witnesses=False,
     if "modp" in checks:
         if prime is None:
             raise ValueError("modp check requested without a prime")
-        _require_certificate(g, prime, enum_cap)
+        _require_certificate(g, prime)
 
     report = {
         "schema": "mcgtorsion-report/2",
@@ -508,8 +472,7 @@ def full_theorem_report(g, prime=None, enum_cap=2_000_000, with_witnesses=False,
 
     if "modp" in checks:
         t0 = time.perf_counter()
-        section = modp_certificate(g, prime, enum_cap=enum_cap,
-                                   with_witnesses=with_witnesses)
+        section = modp_certificate(g, prime, with_witnesses=with_witnesses)
         report["checks"]["modp"] = section
         timings["modp"] = time.perf_counter() - t0
         passed &= section["passed"]

@@ -29,6 +29,7 @@ from .symplectic import (
     element_order,
     identity_rows,
 )
+from .words import Verdict
 
 # order-3 handle block: alpha -> beta, beta -> -alpha - beta
 ORDER3_BLOCK = ((0, -1), (1, -1))
@@ -44,13 +45,10 @@ class TorsionCertificate(Frozen):
     def verify(self, curve_lookup):
         """Re-check the certificate invariants; raises on any failure."""
         m = self.matrix
-        power = m
-        for k in range(1, self.claimed_order):
-            if power.is_identity:
-                raise AssertionError(f"{self.name}: order smaller than claimed ({k})")
-            power = power @ m
-        if not power.is_identity:
-            raise AssertionError(f"{self.name}: matrix^{self.claimed_order} != I")
+        order = element_order(m, self.claimed_order)
+        if order != self.claimed_order:
+            raise AssertionError(f"{self.name}: order is not the claimed {self.claimed_order} "
+                                 f"(least k <= {self.claimed_order} with matrix^k = I: {order})")
         for u, (v, s) in self.curve_action.items():
             img = m.apply(curve_lookup[u])
             want = tuple(s * x for x in curve_lookup[v].coords)
@@ -111,10 +109,24 @@ def handle_shift(g):
     return SympMatrix(_signed_perm_rows(g, lambda i: (i + 1) % g, 1))
 
 
-def _luo_identity_holds(g, f2):
+def luo_decomposition(g, f2):
+    """Ta2 Ta1^-1 = (f2 Ta1 f2) Ta1^-1 = f2 (Ta1 f2 Ta1^-1), involution included."""
     system = lickorish_system(g)
     ta1, ta2 = system.curve("a1").twist, system.curve("a2").twist
-    return ta2 @ ta1.inv() == (f2 @ ta1 @ f2) @ ta1.inv()
+    target = ta2 @ ta1.inv()
+    middle = (f2 @ ta1 @ f2) @ ta1.inv()
+    luo_factor = ta1 @ f2 @ ta1.inv()
+    right = f2 @ luo_factor
+    equal = target == middle == right
+    involution = (luo_factor @ luo_factor).is_identity
+    ok = equal and involution
+    details = {"equal": equal, "conjugate_is_involution": involution}
+    if not ok:
+        details["lhs_word"] = "Ta2 Ta1^-1"
+        details["lhs_matrix"] = target.to_lists()
+        details["middle_matrix"] = middle.to_lists()
+        details["rhs_matrix"] = right.to_lists()
+    return Verdict(f"luo(g={g})", "pass" if ok else "fail", details)
 
 
 @lru_cache(maxsize=None)
@@ -136,7 +148,7 @@ def _pi_rotations(g):
             "product order g": element_order(prod, g) == g,
             "product is handle shift": prod in (shift, neg_shift),
             "f2 sends a1 to a2": m_sends(f2, a1, a2),
-            "luo decomposition": _luo_identity_holds(g, f2),
+            "luo decomposition": luo_decomposition(g, f2).passed,
         }
         if all(checks.values()):
             return f1, f2, s1, s2
@@ -276,6 +288,25 @@ def _assemble_f3(g, with_handle_blocks):
     return SympMatrix(rows)
 
 
+def lantern_assembly(g, f3):
+    """T_c1 = (Ta2 Ta1^-1) f3(...)f3^-1 f3^2(...)f3^-2."""
+    system = lickorish_system(g)
+    e = system.curve("a2").twist @ system.curve("a1").twist.inv()
+    f3i = f3.inv()
+    rhs = e @ (f3 @ e @ f3i) @ (f3 @ f3 @ e @ f3i @ f3i)
+    lhs = system.curve("c1").twist
+    ok = lhs == rhs
+    details = {}
+    if not ok:
+        details = {
+            "lhs_word": "Tc1",
+            "rhs_word": "(Ta2 Ta1^-1) (F3 Ta2 Ta1^-1 F3^-1) (F3^2 Ta2 Ta1^-1 F3^-2)",
+            "lhs_matrix": lhs.to_lists(),
+            "rhs_matrix": rhs.to_lists(),
+        }
+    return Verdict(f"lantern_assembly(g={g})", "pass" if ok else "fail", details)
+
+
 def _validate_f3(cert, g, global_form):
     classes = named_classes(g)
     cert.verify(classes)
@@ -293,11 +324,7 @@ def _validate_f3(cert, g, global_form):
             if action.get(f"a{i}", (None,))[0] != f"b{i}":
                 raise AssertionError(f"f3 does not send a{i} to a longitude")
     # the assembly identity this element exists for
-    f3 = cert.matrix
-    system = lickorish_system(g)
-    e = system.curve("a2").twist @ system.curve("a1").twist.inv()
-    rhs = e @ (f3 @ e @ f3.inv()) @ (f3 @ f3 @ e @ f3.inv() @ f3.inv())
-    if rhs != system.curve("c1").twist:
+    if not lantern_assembly(g, cert.matrix).passed:
         raise AssertionError("f3 fails the lantern assembly identity")
 
 

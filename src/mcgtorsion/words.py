@@ -24,10 +24,6 @@ DEFAULT_ORDERS = {"F1": 2, "F2": 2, "F3": 3}
 _TOKEN_RE = re.compile(r"^(?P<name>[A-Za-z][A-Za-z0-9]*)(?:\^(?P<exp>-?\d+))?$")
 
 
-def make_word(*pairs):
-    return tuple((str(s), int(e)) for s, e in pairs)
-
-
 def reduce_word(word, orders=None):
     """Freely reduce, folding exponents of known finite-order symbols."""
     if orders is None:

@@ -10,7 +10,7 @@ from mcgtorsion.theorem import (
     _orbit_packed,
     modp_certificate,
     modp_subgroup_order,
-    modp_vector_orbit_size,
+    modp_transitivity,
     sp_modp_order,
 )
 from mcgtorsion.torsion import theorem_generators
@@ -104,13 +104,18 @@ def test_membership_witnesses_replay_g3():
 @pytest.mark.parametrize("g", range(3, 10))
 def test_packed_orbit_matches_generic(g):
     # g = 7, 8, 9 (n = 14, 16, 18) read two and three 8-bit chunks per vector
-    mats = [reduce_mod_p(c.matrix, 2) for c in theorem_generators(g)]
+    certs = theorem_generators(g)
+    mats = [reduce_mod_p(c.matrix, 2) for c in certs]
     n = 2 * g
-    assert _orbit_packed(mats, n, 10 ** 6) == (2 ** n - 1, False)
+    assert _orbit_packed(mats, n) == 2 ** n - 1
     if g <= 6:  # the tuple orbit of all 2^n - 1 vectors is slow above g = 6
-        assert _orbit_generic(mats, 2, n, 10 ** 6) == (2 ** n - 1, False)
-    for limit in (1, 7, 40, 1000):
-        assert _orbit_packed(mats, n, limit) == _orbit_generic(mats, 2, n, limit)
+        assert _orbit_generic(mats, 2, n) == 2 ** n - 1
+    # partial orbits: without f3 (at g >= 4 the a_i up to sign), and each generator alone
+    without_f3 = [m for c, m in zip(certs, mats) if c.name != "f3"]
+    if g >= 4:
+        assert _orbit_packed(without_f3, n) == g
+    for subset in [without_f3] + [[m] for m in mats]:
+        assert _orbit_packed(subset, n) == _orbit_generic(subset, 2, n)
 
 
 @pytest.mark.parametrize("g", (4, 6, 8))
@@ -118,7 +123,7 @@ def test_transitivity_negative_control_without_f3(g, monkeypatch):
     # f1, f2 and Ta1 f2 Ta1^-1 only permute a_1 .. a_g up to sign
     certs = [c for c in theorem_generators(g) if c.name != "f3"]
     mats = [reduce_mod_p(c.matrix, 2) for c in certs]
-    assert _orbit_packed(mats, 2 * g, 10 ** 6) == (g, False)
+    assert _orbit_packed(mats, 2 * g) == g
     monkeypatch.setattr(theorem, "theorem_generators", lambda genus: certs)
     section = modp_certificate(g, 2)
     assert section["mode"] == "transitivity"
@@ -127,11 +132,23 @@ def test_transitivity_negative_control_without_f3(g, monkeypatch):
     assert not section["passed"]
 
 
-def test_packed_orbit_bitmap_is_bounded():
-    # the bitmap has 2^n bytes: n = 20 is the largest the limit admits
-    assert modp_vector_orbit_size([identity(10)], 2, 10) == (1, False)
+def test_packed_orbit_bitmap_is_bounded(monkeypatch):
+    # the orbit stores every vector: n = 20 at p = 2 and n = 12 at p = 3 are
+    # the largest TRANSITIVITY_LIMIT admits
+    assert modp_transitivity([identity(10)], 2).details == {
+        "orbit_size": 1, "nonzero_vectors": 2 ** 20 - 1}
+    assert modp_transitivity([identity(6)], 3).details == {
+        "orbit_size": 1, "nonzero_vectors": 3 ** 12 - 1}
+
+    def no_orbit(*args):
+        raise AssertionError("an orbit ran before the size guard")
+
+    monkeypatch.setattr(theorem, "_orbit_packed", no_orbit)
+    monkeypatch.setattr(theorem, "_orbit_generic", no_orbit)
     with pytest.raises(ValueError):
-        modp_vector_orbit_size([identity(11)], 2, 10)
+        modp_transitivity([identity(11)], 2)
+    with pytest.raises(ValueError):
+        modp_transitivity([identity(7)], 3)
 
 
 @pytest.mark.parametrize("p", (2, 3))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -150,13 +151,6 @@ def test_cli_out_unwritable_is_usage_error(tmp_path, target):
     assert [p.name for p in tmp_path.iterdir()] == ["existing_dir"]
 
 
-def test_cli_enum_cap_zero_rejected():
-    # a zero cap used to fall back silently to the weaker transitivity mode
-    proc = _run_cli("--genus", "3", "--checks", "modp", "--prime", "2", "--enum-cap", "0")
-    assert proc.returncode == 2
-    assert proc.stderr == "error: --enum-cap must be a positive integer, got 0\n"
-
-
 @pytest.mark.parametrize("args", [
     ("--genus", "11", "--checks", "modp", "--prime", "2"),  # 2^22-1 vectors
     ("--genus", "7", "--prime", "3"),   # 3^14-1 vectors; default checks include modp
@@ -174,11 +168,18 @@ def test_cli_rejects_uncertifiable_prime_before_any_check(args):
     assert elapsed < 1.5, f"rejection took {elapsed:.2f}s"
 
 
-def test_cli_non_integer_env_cap_rejected():
-    proc = _run_cli("--genus", "3", "--checks", "modp", "--prime", "2",
-                    MCGTORSION_ENUM_CAP="abc")
-    assert proc.returncode == 2
-    assert proc.stderr == "error: MCGTORSION_ENUM_CAP must be a positive integer, got 'abc'\n"
+def _without_timings(text):
+    return [line for line in text.splitlines() if not line.startswith("# time ")]
+
+
+def test_cli_ignores_enum_cap_env():
+    # the mode bounds are fixed: the old MCGTORSION_ENUM_CAP variable has no effect
+    args = ("--genus", "3", "--checks", "modp", "--prime", "2")
+    plain = _run_cli(*args)
+    with_env = _run_cli(*args, MCGTORSION_ENUM_CAP="abc")
+    assert plain.returncode == with_env.returncode == 0
+    assert with_env.stderr == ""
+    assert _without_timings(with_env.stdout) == _without_timings(plain.stdout)
 
 
 def test_cli_eval_word():
@@ -198,6 +199,7 @@ def test_cli_eval_rejects_unknown_token():
     ("--genus", "3", "--bogus"),
     ("--genus", "3", "--output", "xml"),
     ("--genus", "4", "--checks", "theorem", "--orbit-cap", "5"),  # the flag is gone
+    ("--genus", "3", "--checks", "modp", "--prime", "2", "--enum-cap", "5"),  # the flag is gone
 ])
 def test_cli_parser_errors_are_one_line(args):
     proc = _run_cli(*args)
@@ -205,6 +207,18 @@ def test_cli_parser_errors_are_one_line(args):
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
+
+
+def _readme_command_line_options():
+    text = open(os.path.join(PKG_ROOT, "README.md")).read()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+
+
+def test_readme_documents_exactly_the_cli_options():
+    parser_options = {opt for action in cli.build_parser()._actions
+                      for opt in action.option_strings if opt.startswith("--")}
+    assert _readme_command_line_options() == parser_options - {"--help"}
 
 
 def test_cli_help_still_prints_usage():

@@ -21,7 +21,7 @@ GOLDEN = {
         "8da7496fb3fc7de1c10ea88a32d5a377f44c2089a746863eddbf1048c5b308aa",
     ("--genus", "8"):
         "1f4754f8541a441242785d638c06b6f24a131b1ba87ca9738c6df61cd757a2d5",
-    # |Sp(8,2)| is above the enumeration cap: the transitivity certificate
+    # |Sp(8,2)| is above the exact-order bound: the transitivity certificate
     ("--genus", "4", "--checks", "modp", "--prime", "2"):
         "def2959d34ebc7eb3cf2522bf28f5141e90af7c8108dcdf6d4b83c62d306d976",
     ("--genus", "3", "--prime", "2", "--witness"):

@@ -3,6 +3,7 @@ import pytest
 from mcgtorsion.curves import lickorish_system
 from mcgtorsion.symplectic import alpha, beta, element_order, identity, zero_class
 from mcgtorsion.torsion import (
+    TorsionCertificate,
     build_f1,
     build_f2,
     build_f3,
@@ -137,6 +138,28 @@ def test_certificates_verify_and_are_deterministic():
         certs2 = theorem_generators.__wrapped__(g)
         assert certs2 is not certs1
         assert [c.matrix.rows for c in certs1] == [c.matrix.rows for c in certs2]
+
+
+def _altered(cert, **fields):
+    kwargs = {"name": cert.name, "matrix": cert.matrix, "claimed_order": cert.claimed_order,
+              "curve_action": cert.curve_action, "notes": cert.notes}
+    return TorsionCertificate(**dict(kwargs, **fields))
+
+
+@pytest.mark.parametrize("g", (3, 4))
+def test_verify_rejects_false_certificates(g):
+    classes = named_classes(g)
+    f1, f3 = build_f1(g), theorem_generators(g)[3]
+    assert f3.name == "f3"
+    u, (v, sign) = sorted(f1.curve_action.items())[0]
+    false_certs = [
+        (_altered(f1, claimed_order=4), "order"),  # f1 has order 2
+        (_altered(f3, claimed_order=2), "order"),  # f3 has order 3
+        (_altered(f1, curve_action=dict(f1.curve_action, **{u: (v, -sign)})), "action"),
+    ]
+    for cert, match in false_certs:
+        with pytest.raises(AssertionError, match=match):
+            cert.verify(classes)
 
 
 def test_generator_counts_match_theorem():
