@@ -180,7 +180,7 @@ def property1_orbit_check(g):
 
 def luo_decomposition_check(g, f2_override=None):
     """The Luo decomposition (torsion.luo_decomposition) with the built f2."""
-    _, f2, _, _ = _pi_rotations(g)
+    _, f2 = _pi_rotations(g)
     return luo_decomposition(g, f2 if f2_override is None else f2_override)
 
 

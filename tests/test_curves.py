@@ -5,7 +5,11 @@ import pytest
 from conftest import ident, mm, mpow, tv
 from mcgtorsion.curves import (
     IntersectionTable,
+    LanternConfig,
     NamedCurve,
+    _check_lantern,
+    _checked_system,
+    _pad,
     chain_configuration,
     chain_sequence,
     intersections_consistent,
@@ -14,7 +18,7 @@ from mcgtorsion.curves import (
     lickorish_system,
     lickorish_table,
 )
-from mcgtorsion.symplectic import HomologyClass, symplectic_form, zero_class
+from mcgtorsion.symplectic import HomologyClass, alpha, symplectic_form, zero_class
 
 
 def test_curve_counts():
@@ -108,6 +112,49 @@ def test_sign_solver_deterministic():
     first = lickorish_system(4).c_signs
     lickorish_system.cache_clear()
     assert lickorish_system(4).c_signs == first
+
+
+def test_c_signs_convention_and_negative_control():
+    for g in (2, 3, 4, 8):
+        system = lickorish_system(g)
+        assert system.c_signs == ((1, 1),) * (g - 1)
+        for i in range(1, g):
+            want = tuple(a + b for a, b in zip(alpha(i, g).coords, alpha(i + 1, g).coords))
+            assert system.cls(f"c{i}").coords == want
+    with pytest.raises(RuntimeError, match="handle shift"):
+        _checked_system(4, ((1, 1), (1, -1), (1, 1)))
+
+
+def _lantern_with(config, orientations=None, **interior):
+    g = config.genus
+    roles = dict(config.roles)
+    for role, triple in interior.items():
+        roles[role] = NamedCurve(role, HomologyClass(_pad(triple, g), g))
+    return LanternConfig(g, roles, orientations or config.boundary_orientations, config.table)
+
+
+@pytest.mark.parametrize("g", (3, 4, 8))
+def test_lantern_rejects_wrong_interior_class(g):
+    config = lantern_configuration(g)
+    assert config.roles["y"].cls.coords[:3] == (1, 0, -1)
+    assert config.roles["z"].cls.coords[:3] == (1, 1, 1)
+    with pytest.raises(RuntimeError, match="lantern identity failed"):
+        _check_lantern(_lantern_with(config, y=(1, 0, 1)))
+
+
+def test_lantern_rejects_wrong_boundary_orientation():
+    config = lantern_configuration(3)
+    assert config.boundary_orientations == {"a": 1, "b": 1, "c": -1, "d": -1}
+    flipped = dict(config.boundary_orientations, c=1)
+    with pytest.raises(RuntimeError, match="null-homologous"):
+        _check_lantern(_lantern_with(config, flipped))
+
+
+def test_lantern_interior_signs_are_a_convention():
+    # twists on the alpha-span commute and T_{-y} = T_y: these pass every check
+    config = lantern_configuration(4)
+    _check_lantern(_lantern_with(config, y=(1, 1, 1), z=(1, 0, -1)))
+    _check_lantern(_lantern_with(config, y=(-1, 0, 1)))
 
 
 def test_lantern_roles_and_x_class():

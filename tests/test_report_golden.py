@@ -26,6 +26,13 @@ GOLDEN = {
         "def2959d34ebc7eb3cf2522bf28f5141e90af7c8108dcdf6d4b83c62d306d976",
     ("--genus", "3", "--prime", "2", "--witness"):
         "bfd0be6657d67b07873acb9b4983fb926dd3fa2520c541f6a09c40dc42367195",
+    # odd genus: f2 maps handle (g+3)/2 to itself, which pins its sign
+    ("--genus", "5"):
+        "c59515b289266d75a867484042d454d5b207b3eee1fec29049381f1583f014e4",
+    ("--genus", "16"):
+        "c37ce46db08c26349f09ee8b654dfbe9d87bcddeb42e50d560d2555db352acc2",
+    ("--genus", "3", "--checks", "modp", "--prime", "3"):
+        "8f8c08541020237d9a00f175a19359513cf8ca6a7184d8479a5988d791b69280",
 }
 
 

@@ -88,7 +88,7 @@ def test_orbit_words_land_in_bfs_orbit(g):
     assert ends <= orbit.classes
 
 
-@pytest.mark.parametrize("g", range(3, 9))
+@pytest.mark.parametrize("g", (3, 4, 5, 6, 7, 8, 12, 16))
 def test_orbit_words_conjugate_twists(g):
     # the paper's form: W T_a1 W^-1 = T_u for the word W of each curve u
     words = lickorish_words(g, [c.name for c in theorem_generators(g)])

@@ -2,8 +2,12 @@ import pytest
 
 from mcgtorsion.curves import lickorish_system
 from mcgtorsion.symplectic import alpha, beta, element_order, identity, zero_class
+from mcgtorsion import torsion
 from mcgtorsion.torsion import (
+    LANTERN_ROTATION_BLOCK,
     TorsionCertificate,
+    _check_pi_rotations,
+    _signed_perm,
     build_f1,
     build_f2,
     build_f3,
@@ -216,3 +220,49 @@ def test_discover_action_keeps_first_match_order():
         for cert in theorem_generators(g):
             assert discover_action(cert.matrix, classes) == _scan_action(cert.matrix, classes)
             assert cert.curve_action == _scan_action(cert.matrix, classes)
+
+
+def _rotations(g, s1, s2):
+    return _signed_perm(g, lambda i: -i, s1), _signed_perm(g, lambda i: 1 - i, s2)
+
+
+@pytest.mark.parametrize("g", (3, 4, 5, 8))
+def test_pi_rotation_signs_are_pinned_by_the_fixed_handle_check(g):
+    # with both signs +1 the six other checks pass; f1 fixes handle 1 with +I
+    with pytest.raises(RuntimeError) as err:
+        _check_pi_rotations(g, *_rotations(g, 1, 1))
+    assert str(err.value).endswith("['-I on fixed handles']")
+
+
+@pytest.mark.parametrize("g,s1,s2", [
+    (3, 1, -1), (4, 1, -1), (8, 1, -1),   # f1 fixes handle 1 at every genus
+    (3, -1, 1), (5, -1, 1),                 # f2 fixes handle (g+3)/2 at odd genus
+])
+def test_pi_rotation_negative_controls(g, s1, s2):
+    with pytest.raises(RuntimeError, match="-I on fixed handles"):
+        _check_pi_rotations(g, *_rotations(g, s1, s2))
+
+
+@pytest.mark.parametrize("g", (3, 5, 7))
+def test_mixed_pi_rotation_signs_fail_at_odd_genus(g):
+    # f2 f1 is then -shift, whose order is 2g at odd g
+    with pytest.raises(RuntimeError, match="product order g"):
+        _check_pi_rotations(g, *_rotations(g, -1, 1))
+
+
+def test_f2_sign_is_a_convention_at_even_genus():
+    # f2 fixes no handle and -shift has order g: the golden digests pin s2
+    _check_pi_rotations(4, *_rotations(4, -1, 1))
+    assert build_f2(4).notes["global_sign"] == -1
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (2, 0), (4, 5)])
+def test_lantern_rotation_block_sign_flip_is_not_symplectic(monkeypatch, entry):
+    r, c = entry
+    rows = [list(row) for row in LANTERN_ROTATION_BLOCK]
+    rows[r][c] = -rows[r][c]
+    monkeypatch.setattr(torsion, "LANTERN_ROTATION_BLOCK", tuple(map(tuple, rows)))
+    with pytest.raises(ValueError, match="symplectic"):
+        build_f3.__wrapped__(4)
+    with pytest.raises(ValueError, match="symplectic"):
+        build_genus3_extras.__wrapped__()
