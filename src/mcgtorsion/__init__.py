@@ -62,7 +62,6 @@ from .words import (
     evaluate,
     format_word,
     parse_word,
-    reduce_word,
     relation_suite,
     twist_assignment,
 )

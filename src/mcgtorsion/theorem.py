@@ -11,8 +11,9 @@ and always decides pass or fail.
 
 The mod-p certificate is exact order when |Sp(2g, p)| is at most
 EXACT_ORDER_LIMIT: stabilizer chains of the torsion and twist images give
-both orders exactly, and sifting each generator set through the other's
-chain decides membership both ways.  Above that bound it falls back to
+both orders exactly, sifting each twist through the torsion chain shows
+that the twist group lies in the torsion group, and equal orders then
+make the two groups equal.  Above that bound it falls back to
 transitivity on nonzero vectors, which is run only for p in (2, 3) and
 only when all p^(2g) - 1 nonzero vectors are at most TRANSITIVITY_LIMIT;
 any other (genus, prime) pair is rejected before a check runs.  The
@@ -36,14 +37,7 @@ from .symplectic import (
     reduce_mod_p,
     xor_tables,
 )
-from .torsion import (
-    _pi_rotations,
-    build_f3,
-    build_genus3_extras,
-    lantern_assembly,
-    luo_decomposition,
-    theorem_generators,
-)
+from .torsion import lantern_assembly, luo_decomposition, theorem_generators
 from .words import Verdict, relation_suite
 
 HOMOLOGY_CAVEAT = (
@@ -178,23 +172,14 @@ def property1_orbit_check(g):
     return verdict, OrbitSet(g, frozenset(reached), depth, False)
 
 
-def luo_decomposition_check(g, f2_override=None):
+def luo_decomposition_check(g):
     """The Luo decomposition (torsion.luo_decomposition) with the built f2."""
-    _, f2 = _pi_rotations(g)
-    return luo_decomposition(g, f2 if f2_override is None else f2_override)
+    return luo_decomposition(g, theorem_generators(g)[1].matrix)
 
 
-def lantern_assembly_check(g, f3_override=None):
+def lantern_assembly_check(g):
     """The lantern assembly of T_c1 (torsion.lantern_assembly) with the built f3."""
-    if f3_override is not None:
-        f3 = f3_override
-    elif g >= 4:
-        f3 = build_f3(g).matrix
-    elif g == 3:
-        f3 = build_genus3_extras()[0].matrix
-    else:
-        raise ValueError(f"lantern assembly needs genus >= 3, got {g}")
-    return lantern_assembly(g, f3)
+    return lantern_assembly(g, theorem_generators(g)[3].matrix)
 
 
 def sp_modp_order(g, p):
@@ -336,11 +321,9 @@ def modp_certificate(g, p, with_witnesses=False):
         order, lk_order = torsion.order(), twists.order()
         section["torsion_order"] = order
         section["lickorish_order"] = lk_order
+        # with equal finite orders, twists in the torsion group make the groups equal
         words = [torsion.sift(m) for m in twist_mats]
-        torsion_in_lk = all(twists.sift(m) is not None for m in mats)
-        section["same_subgroup"] = (
-            order == lk_order and torsion_in_lk and all(w is not None for w in words)
-        )
+        section["same_subgroup"] = order == lk_order and all(w is not None for w in words)
         if with_witnesses:
             for word, target in zip(words, twist_mats):
                 if word is not None and torsion.evaluate(word) != target:
@@ -394,8 +377,9 @@ def full_theorem_report(g, prime=None, with_witnesses=False, checks=None):
     checks is a subset of {"relations", "torsion", "theorem", "modp"};
     None means every applicable check (modp only when a prime is given).
     Raises ValueError before any check runs when the selection needs a
-    larger genus or a prime, or when no mod-p certificate can decide
-    (certificate_mode is None).
+    larger genus or a prime, when no mod-p certificate can decide
+    (certificate_mode is None), or when with_witnesses is set and no
+    exact-order certificate runs.
     """
     import time
 
@@ -414,10 +398,14 @@ def full_theorem_report(g, prime=None, with_witnesses=False, checks=None):
             f"checks {sorted(needs_torsion)} need genus >= 3 "
             f"(the theorem hypothesis); got {g}"
         )
-    if "modp" in checks:
-        if prime is None:
-            raise ValueError("modp check requested without a prime")
-        _require_certificate(g, prime)
+    if "modp" in checks and prime is None:
+        raise ValueError("modp check requested without a prime")
+    mode = _require_certificate(g, prime) if "modp" in checks else None
+    if with_witnesses and mode != "exact-order":
+        raise ValueError(
+            f"membership witnesses need the exact-order mod-p certificate "
+            f"(this run: {mode or 'no mod-p check'})"
+        )
 
     report = {
         "schema": "mcgtorsion-report/2",

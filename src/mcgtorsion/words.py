@@ -2,10 +2,7 @@
 
 Composition is functional: in a word the rightmost factor is applied first,
 which matches plain left-to-right matrix multiplication of the assigned
-matrices.  Words are stored as (symbol, exponent) pairs; reduction cancels
-adjacent equal symbols and also folds exponents of symbols with a declared
-finite order (F1, F2 are involutions, F3 has order 3), so that e.g. F1 F1
-reduces to the empty word.
+matrices.  Words are stored as (symbol, exponent) pairs.
 """
 
 from __future__ import annotations
@@ -19,39 +16,7 @@ from .curves import (
 )
 from .symplectic import Frozen, identity, transvection
 
-DEFAULT_ORDERS = {"F1": 2, "F2": 2, "F3": 3}
-
 _TOKEN_RE = re.compile(r"^(?P<name>[A-Za-z][A-Za-z0-9]*)(?:\^(?P<exp>-?\d+))?$")
-
-
-def reduce_word(word, orders=None):
-    """Freely reduce, folding exponents of known finite-order symbols."""
-    if orders is None:
-        orders = DEFAULT_ORDERS
-
-    def fold(sym, e):
-        k = orders.get(sym)
-        if k is None:
-            return e
-        e %= k
-        if 2 * e > k:
-            e -= k
-        return e
-
-    out = []
-    for sym, e in word:
-        if not isinstance(e, int) or e == 0:
-            raise ValueError(f"word exponents must be nonzero ints, got {e!r}")
-        if out and out[-1][0] == sym:
-            merged = fold(sym, out[-1][1] + e)
-            out.pop()
-            if merged:
-                out.append((sym, merged))
-        else:
-            e = fold(sym, e)
-            if e:
-                out.append((sym, e))
-    return tuple(out)
 
 
 def evaluate(word, assignment):
@@ -105,7 +70,7 @@ class Verdict(Frozen):
     """Outcome of one relation check."""
 
     def __init__(self, check, status, details=None):
-        # status: "pass" | "fail" | "precondition"
+        # status: "pass" | "fail"
         self._set_fields(check=check, status=status, details={} if details is None else details)
 
     @property
@@ -114,10 +79,6 @@ class Verdict(Frozen):
 
     def to_dict(self):
         return {"check": self.check, "status": self.status, "details": self.details}
-
-
-def _verdict(check, ok, details=None):
-    return Verdict(check, "pass" if ok else "fail", details or {})
 
 
 def _fail_details(word_lhs, word_rhs, lhs, rhs):
@@ -129,45 +90,37 @@ def _fail_details(word_lhs, word_rhs, lhs, rhs):
     }
 
 
-def check_commuting(u, v, table):
-    """T_u T_v = T_v T_u for curves declared disjoint."""
-    name = f"commute({u.name},{v.name})"
-    if table.get(u.name, v.name) != 0:
-        return Verdict(name, "precondition", {"declared": table.get(u.name, v.name)})
-    lhs = u.twist @ v.twist
-    rhs = v.twist @ u.twist
+def _equality(name, word_lhs, word_rhs, lhs, rhs):
+    """Pass when lhs == rhs, else fail with both words and matrices."""
     if lhs == rhs:
-        return _verdict(name, True)
-    return Verdict(
-        name, "fail",
-        _fail_details(f"T{u.name} T{v.name}", f"T{v.name} T{u.name}", lhs, rhs),
+        return Verdict(name, "pass")
+    return Verdict(name, "fail", _fail_details(word_lhs, word_rhs, lhs, rhs))
+
+
+def check_commuting(u, v):
+    """T_u T_v = T_v T_u, which holds for disjoint curves."""
+    return _equality(
+        f"commute({u.name},{v.name})",
+        f"T{u.name} T{v.name}", f"T{v.name} T{u.name}",
+        u.twist @ v.twist, v.twist @ u.twist,
     )
 
 
-def check_braid(u, v, table):
-    """T_u T_v T_u = T_v T_u T_v for curves meeting once."""
-    name = f"braid({u.name},{v.name})"
-    if table.get(u.name, v.name) != 1:
-        return Verdict(name, "precondition", {"declared": table.get(u.name, v.name)})
-    lhs = u.twist @ v.twist @ u.twist
-    rhs = v.twist @ u.twist @ v.twist
-    if lhs == rhs:
-        return _verdict(name, True)
-    return Verdict(
-        name, "fail",
-        _fail_details(
-            f"T{u.name} T{v.name} T{u.name}", f"T{v.name} T{u.name} T{v.name}", lhs, rhs
-        ),
+def check_braid(u, v):
+    """T_u T_v T_u = T_v T_u T_v, which holds for curves meeting once."""
+    return _equality(
+        f"braid({u.name},{v.name})",
+        f"T{u.name} T{v.name} T{u.name}", f"T{v.name} T{u.name} T{v.name}",
+        u.twist @ v.twist @ u.twist, v.twist @ u.twist @ v.twist,
     )
 
 
 def check_chain(t, g):
-    """(T_1 ... T_t)^{2t+2} = T_d (t even) or (...)^{t+1} = T_d1 T_d2 (t odd)."""
-    name = f"chain(t={t},g={g})"
-    try:
-        config = chain_configuration(t, g)
-    except (ValueError, RuntimeError) as exc:
-        return Verdict(name, "precondition", {"error": str(exc)})
+    """(T_1 ... T_t)^{2t+2} = T_d (t even) or (...)^{t+1} = T_d1 T_d2 (t odd).
+
+    Raises ValueError when the t-chain does not fit in genus g.
+    """
+    config = chain_configuration(t, g)
     q = config.twist_product() ** config.power
     rhs = identity(g)
     for u in config.boundary:
@@ -184,16 +137,15 @@ def check_chain(t, g):
                           " ".join(f"T{u.name}" for u in config.boundary) or "1",
                           q, rhs)
         )
-    return Verdict(name, "pass" if ok else "fail", details)
+    return Verdict(f"chain(t={t},g={g})", "pass" if ok else "fail", details)
 
 
 def check_lantern(g):
-    """Both lantern forms, plus the declared-disjoint commutations it uses."""
-    name = f"lantern(g={g})"
-    try:
-        config = lantern_configuration(g)
-    except (ValueError, RuntimeError) as exc:
-        return Verdict(name, "precondition", {"error": str(exc)})
+    """Both lantern forms, plus the declared-disjoint commutations it uses.
+
+    Raises ValueError below genus 3.
+    """
+    config = lantern_configuration(g)
     lhs, rhs = config.product_sides()
     product_ok = lhs == rhs
     lhs2, rhs2 = config.rewritten_sides()
@@ -214,18 +166,16 @@ def check_lantern(g):
     }
     if not product_ok:
         details.update(_fail_details("Ta Tb Tc Td", "Tx Ty Tz", lhs, rhs))
-    return Verdict(name, "pass" if ok else "fail", details)
+    return Verdict(f"lantern(g={g})", "pass" if ok else "fail", details)
 
 
 def check_conjugacy(f, c):
     """f T_c f^{-1} = T_{f(c)}; a theorem of the representation."""
-    name = f"conjugacy({getattr(c, 'name', 'class')})"
     cls = c.cls if hasattr(c, "cls") else c
-    lhs = f @ transvection(cls) @ f.inv()
-    rhs = transvection(f.apply(cls))
-    if lhs == rhs:
-        return _verdict(name, True)
-    return Verdict(name, "fail", _fail_details("f Tc f^-1", "T_f(c)", lhs, rhs))
+    return _equality(
+        f"conjugacy({getattr(c, 'name', 'class')})", "f Tc f^-1", "T_f(c)",
+        f @ transvection(cls) @ f.inv(), transvection(f.apply(cls)),
+    )
 
 
 def relation_suite(g, chain_lengths=(2, 3, 4)):
@@ -238,9 +188,9 @@ def relation_suite(g, chain_lengths=(2, 3, 4)):
         for v in curves[i + 1 :]:
             k = table.get(u.name, v.name)
             if k == 0:
-                verdicts.append(check_commuting(u, v, table))
+                verdicts.append(check_commuting(u, v))
             elif k == 1:
-                verdicts.append(check_braid(u, v, table))
+                verdicts.append(check_braid(u, v))
     for t in chain_lengths:
         if 1 <= t <= 2 * g:
             verdicts.append(check_chain(t, g))

@@ -25,7 +25,12 @@ from mcgtorsion.theorem import (
     modp_transitivity,
     property1_orbit_check,
 )
-from mcgtorsion.torsion import build_genus3_extras, theorem_generators
+from mcgtorsion.torsion import (
+    build_genus3_extras,
+    lantern_assembly,
+    luo_decomposition,
+    theorem_generators,
+)
 from mcgtorsion.words import (
     check_chain,
     check_lantern,
@@ -85,8 +90,8 @@ def test_criterion_3_proof_replay():
     for g in range(3, 9):
         assert luo_decomposition_check(g).passed
         assert lantern_assembly_check(g).passed
-    assert not luo_decomposition_check(4, f2_override=identity(4)).passed
-    assert not lantern_assembly_check(4, f3_override=identity(4)).passed
+    assert not luo_decomposition(4, identity(4)).passed
+    assert not lantern_assembly(4, identity(4)).passed
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"proof replay took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 3 PASS: Luo + lantern assembly g=3..8, "

@@ -24,7 +24,7 @@ from mcgtorsion.symplectic import (
 )
 from mcgtorsion.theorem import convention_record
 from mcgtorsion.torsion import build_f1, build_f2, theorem_generators
-from mcgtorsion.words import evaluate, format_word, parse_word, reduce_word, twist_assignment
+from mcgtorsion.words import evaluate, format_word, parse_word, twist_assignment
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -109,26 +109,6 @@ WORDS = st.lists(
 @given(word=WORDS)
 def test_parse_inverts_format(word):
     assert parse_word(format_word(word)) == word
-
-
-def _g3_assignment():
-    certs = theorem_generators(3)
-    assignment = twist_assignment(3)
-    assignment["F1"] = certs[0].matrix
-    assignment["F2"] = certs[1].matrix
-    assignment["F3"] = certs[3].matrix
-    return assignment
-
-
-G3 = _g3_assignment()
-
-
-@PROPERTY
-@given(word=WORDS)
-def test_reduce_word_idempotent_and_preserves_value(word):
-    reduced = reduce_word(word)
-    assert reduce_word(reduced) == reduced
-    assert evaluate(reduced, G3) == evaluate(word, G3)
 
 
 TWISTS = {g: twist_assignment(g) for g in (2, 3)}

@@ -168,6 +168,20 @@ def test_cli_rejects_uncertifiable_prime_before_any_check(args):
     assert elapsed < 1.5, f"rejection took {elapsed:.2f}s"
 
 
+@pytest.mark.parametrize("args", [
+    ("--genus", "4", "--prime", "2"),  # transitivity: |Sp(8,2)| is above the bound
+    ("--genus", "3", "--prime", "3"),  # transitivity: |Sp(6,3)| is above the bound
+    ("--genus", "3", "--checks", "relations", "--prime", "2"),  # no mod-p check
+])
+def test_cli_rejects_witness_without_exact_order_certificate(args):
+    # these runs used to exit 0 with no membership words
+    proc = _run_cli(*args, "--witness")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: membership witnesses need the exact-order")
+
+
 def _without_timings(text):
     return [line for line in text.splitlines() if not line.startswith("# time ")]
 

@@ -33,6 +33,17 @@ GOLDEN = {
         "c37ce46db08c26349f09ee8b654dfbe9d87bcddeb42e50d560d2555db352acc2",
     ("--genus", "3", "--checks", "modp", "--prime", "3"):
         "8f8c08541020237d9a00f175a19359513cf8ca6a7184d8479a5988d791b69280",
+    # with the runs above, every report the benchmark ladders read
+    ("--genus", "2"):
+        "accf0000c66458cb92c8ed9ffe8f0a87d4f21d9fece79989c901e386c97b5dd0",
+    ("--genus", "6"):
+        "7cc3650574567e48bd25651de1b86069e83757e919e033a8a1a3534430eca5ee",
+    ("--genus", "12"):
+        "a7f9747a47d2ba00507e053bc2c7a07c8e5a015ab6cca46990dc6dae897db7b7",
+    ("--genus", "6", "--checks", "modp", "--prime", "2"):
+        "104a5a3471d20279ac8edf08cbe1b04f2cb398f1dac22bd6573c1823a39f6e6a",
+    ("--genus", "8", "--checks", "modp", "--prime", "2"):
+        "87171c3b9a1476dd3057e1446ad61ddfdf5cf3dc67b76217624f78f726ced297",
 }
 
 

@@ -26,7 +26,7 @@ def test_luo_decomposition(g):
 
 def test_luo_negative_control():
     # replacing f2 by the identity collapses the middle expression to I
-    v = luo_decomposition_check(4, f2_override=identity(4))
+    v = torsion.luo_decomposition(4, identity(4))
     assert not v.passed
 
 
@@ -36,9 +36,9 @@ def test_lantern_assembly(g):
 
 
 def test_lantern_assembly_negative_control():
-    v = lantern_assembly_check(4, f3_override=identity(4))
+    v = torsion.lantern_assembly(4, identity(4))
     assert not v.passed
-    v = lantern_assembly_check(3, f3_override=identity(3))
+    v = torsion.lantern_assembly(3, identity(3))
     assert not v.passed
 
 
