@@ -215,13 +215,23 @@ def certificate_mode(g, p):
     return None
 
 
-def _require_certificate(g, p):
-    mode = certificate_mode(g, p)
-    if mode is None:
+def _require_certificate(g, p, with_witnesses):
+    """The certificate mode at (g, p), where p is None when no mod-p check runs.
+
+    Raises ValueError when no mode can decide, or when membership witnesses
+    are asked for and no exact-order certificate runs.
+    """
+    mode = None if p is None else certificate_mode(g, p)
+    if p is not None and mode is None:
         raise ValueError(
             f"no mod-{p} certificate at genus {g}: |Sp({2 * g},{p})| exceeds the "
             f"exact-order bound {EXACT_ORDER_LIMIT}, and transitivity needs p in (2, 3) "
             f"with p^{2 * g}-1 <= {TRANSITIVITY_LIMIT}"
+        )
+    if with_witnesses and mode != "exact-order":
+        raise ValueError(
+            f"membership witnesses need the exact-order mod-p certificate "
+            f"(this run: {mode or 'no mod-p check'})"
         )
     return mode
 
@@ -304,9 +314,10 @@ def modp_transitivity(generators, p):
 def modp_certificate(g, p, with_witnesses=False):
     """Generation certificate mod p for the torsion set, exact-order or transitivity mode.
 
-    Raises ValueError when neither mode can decide (see certificate_mode).
+    Raises ValueError when neither mode can decide (see certificate_mode),
+    or when with_witnesses is set in transitivity mode.
     """
-    mode = _require_certificate(g, p)
+    mode = _require_certificate(g, p, with_witnesses)
     certs = theorem_generators(g)
     gens = [c.matrix for c in certs]
     expected = sp_modp_order(g, p)
@@ -400,12 +411,7 @@ def full_theorem_report(g, prime=None, with_witnesses=False, checks=None):
         )
     if "modp" in checks and prime is None:
         raise ValueError("modp check requested without a prime")
-    mode = _require_certificate(g, prime) if "modp" in checks else None
-    if with_witnesses and mode != "exact-order":
-        raise ValueError(
-            f"membership witnesses need the exact-order mod-p certificate "
-            f"(this run: {mode or 'no mod-p check'})"
-        )
+    _require_certificate(g, prime if "modp" in checks else None, with_witnesses)
 
     report = {
         "schema": "mcgtorsion-report/2",

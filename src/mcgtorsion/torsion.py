@@ -33,7 +33,7 @@ from .symplectic import (
     element_order,
     identity_rows,
 )
-from .words import Verdict
+from .words import Verdict, _equality
 
 # order-3 handle block: alpha -> beta, beta -> -alpha - beta
 ORDER3_BLOCK = ((0, -1), (1, -1))
@@ -255,17 +255,11 @@ def lantern_assembly(g, f3):
     e = system.curve("a2").twist @ system.curve("a1").twist.inv()
     f3i = f3.inv()
     rhs = e @ (f3 @ e @ f3i) @ (f3 @ f3 @ e @ f3i @ f3i)
-    lhs = system.curve("c1").twist
-    ok = lhs == rhs
-    details = {}
-    if not ok:
-        details = {
-            "lhs_word": "Tc1",
-            "rhs_word": "(Ta2 Ta1^-1) (F3 Ta2 Ta1^-1 F3^-1) (F3^2 Ta2 Ta1^-1 F3^-2)",
-            "lhs_matrix": lhs.to_lists(),
-            "rhs_matrix": rhs.to_lists(),
-        }
-    return Verdict(f"lantern_assembly(g={g})", "pass" if ok else "fail", details)
+    return _equality(
+        f"lantern_assembly(g={g})", "Tc1",
+        "(Ta2 Ta1^-1) (F3 Ta2 Ta1^-1 F3^-1) (F3^2 Ta2 Ta1^-1 F3^-2)",
+        system.curve("c1").twist, rhs,
+    )
 
 
 def _validate_f3(cert, g, global_form):

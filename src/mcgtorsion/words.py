@@ -178,7 +178,7 @@ def check_conjugacy(f, c):
     )
 
 
-def relation_suite(g, chain_lengths=(2, 3, 4)):
+def relation_suite(g):
     """Every instantiated relation check for one genus, in a fixed order."""
     system = lickorish_system(g)
     table = system.table
@@ -191,9 +191,7 @@ def relation_suite(g, chain_lengths=(2, 3, 4)):
                 verdicts.append(check_commuting(u, v))
             elif k == 1:
                 verdicts.append(check_braid(u, v))
-    for t in chain_lengths:
-        if 1 <= t <= 2 * g:
-            verdicts.append(check_chain(t, g))
+    verdicts += [check_chain(t, g) for t in (2, 3, 4)]
     if g >= 3:
         verdicts.append(check_lantern(g))
     return verdicts

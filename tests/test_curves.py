@@ -3,6 +3,8 @@ import random
 import pytest
 
 from conftest import ident, mm, mpow, tv
+from mcgtorsion import curves as curves_mod
+from mcgtorsion import symplectic
 from mcgtorsion.curves import (
     IntersectionTable,
     LanternConfig,
@@ -130,7 +132,7 @@ def _lantern_with(config, orientations=None, **interior):
     roles = dict(config.roles)
     for role, triple in interior.items():
         roles[role] = NamedCurve(role, HomologyClass(_pad(triple, g), g))
-    return LanternConfig(g, roles, orientations or config.boundary_orientations, config.table)
+    return LanternConfig(g, roles, orientations or config.boundary_orientations)
 
 
 @pytest.mark.parametrize("g", (3, 4, 8))
@@ -210,24 +212,57 @@ def test_chain_does_not_fit():
 
 
 def test_even_chain_boundary_separating():
-    for t, g in ((2, 2), (4, 2), (2, 3)):
-        config = chain_configuration(t, g)
-        assert len(config.boundary) == 1
-        assert config.boundary[0].separating
-        assert config.power == 2 * t + 2
+    for g in range(2, 7):
+        for t in range(2, 2 * g + 1, 2):
+            config = chain_configuration(t, g)
+            assert len(config.boundary) == 1
+            assert config.boundary[0].separating
+            assert config.power == 2 * t + 2
 
 
 def test_odd_chain_boundary_classes():
-    for t, g in ((3, 2), (3, 3)):
-        config = chain_configuration(t, g)
-        assert len(config.boundary) == 2
-        d1, d2 = config.boundary
-        assert d1.cls.coords == tuple(-x for x in d2.cls.coords)
-        # both isotopic to a_2 in the minimal picture: class +/- alpha_2
-        expected = [0] * (2 * g)
-        expected[1] = 1
-        assert d1.cls.coords == tuple(expected)
-        assert config.power == t + 1
+    # T_d1 T_d2 = T_d^2 since T_{-d} = T_d; the relation is recomputed with
+    # plain list arithmetic on the classes the configuration states
+    for g in range(2, 7):
+        for t in range(1, 2 * g + 1, 2):
+            config = chain_configuration(t, g)
+            assert len(config.boundary) == 2
+            d1, d2 = config.boundary
+            assert d1.cls.coords == tuple(-x for x in d2.cls.coords)
+            # the chain a_1, b_1, ..., c_{k-1} has two boundary curves homologous to +/- a_k
+            assert d1.cls == alpha((t + 1) // 2, g)
+            assert config.power == t + 1
+            prod = ident(2 * g)
+            for u in config.curves:
+                prod = mm(prod, tv(list(u.cls.coords), g))
+            assert mpow(prod, t + 1) == mpow(tv(list(d1.cls.coords), g), 2)
+
+
+def test_chain_configuration_makes_no_matrix(monkeypatch):
+    for g in range(2, 7):
+        lickorish_system(g)  # its build check multiplies twists
+    chain_configuration.cache_clear()
+    made = []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def counting(*args):
+            made.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    spy(symplectic, "mul_rows")
+    spy(symplectic.SympMatrix, "inv")
+    spy(curves_mod, "transvection")
+    for g in range(2, 7):
+        for t in range(1, 2 * g + 1):
+            chain_configuration(t, g)
+    assert made == []
+    # the spies do see the products the relation makes
+    chain_configuration(3, 3).twist_product()
+    assert "mul_rows" in made
 
 
 def test_chain_32_identity_against_oracle():

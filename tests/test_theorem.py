@@ -38,8 +38,19 @@ def test_lantern_assembly(g):
 def test_lantern_assembly_negative_control():
     v = torsion.lantern_assembly(4, identity(4))
     assert not v.passed
+    assert set(v.details) == {"lhs_word", "rhs_word", "lhs_matrix", "rhs_matrix"}
+    assert v.details["lhs_word"] == "Tc1"
+    assert v.details["lhs_matrix"] != v.details["rhs_matrix"]
     v = torsion.lantern_assembly(3, identity(3))
     assert not v.passed
+    assert lantern_assembly_check(4).details == {}
+
+
+@pytest.mark.parametrize("g, p", [(4, 2), (3, 3)])
+def test_modp_certificate_rejects_witnesses_in_transitivity_mode(g, p):
+    assert certificate_mode(g, p) == "transitivity"
+    with pytest.raises(ValueError, match="membership witnesses need the exact-order"):
+        modp_certificate(g, p, with_witnesses=True)
 
 
 def test_orbit_identity_only():

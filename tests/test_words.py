@@ -5,9 +5,15 @@ from math import comb
 
 import pytest
 
-from mcgtorsion import curves, symplectic
-from mcgtorsion.curves import chain_configuration, lantern_configuration, lickorish_system
-from mcgtorsion.symplectic import HomologyClass, identity, transvection
+from mcgtorsion import curves, symplectic, words
+from mcgtorsion.curves import (
+    ChainConfig,
+    NamedCurve,
+    chain_configuration,
+    lantern_configuration,
+    lickorish_system,
+)
+from mcgtorsion.symplectic import HomologyClass, alpha, beta, identity, transvection
 from mcgtorsion.torsion import build_f2, theorem_generators
 from mcgtorsion.words import (
     check_braid,
@@ -133,11 +139,45 @@ def test_check_braid_precondition():
 
 
 def test_check_chain_cases():
-    assert check_chain(2, 2).passed
-    assert check_chain(3, 2).passed
-    assert check_chain(4, 2).passed
-    assert check_chain(2, 3).passed
-    assert check_chain(3, 3).passed
+    for g in range(2, 7):
+        for t in range(1, 2 * g + 1):
+            v = check_chain(t, g)
+            assert v.passed, v.check
+            assert set(v.details) == {"power", "boundary"}
+
+
+def _with_boundary(monkeypatch, t, g, d):
+    config = chain_configuration(t, g)
+    wrong = ChainConfig(g, t, config.curves, (NamedCurve("d1", d), NamedCurve("d2", -d)))
+    monkeypatch.setattr(words, "chain_configuration", lambda *args: wrong)
+
+
+def test_check_chain_rejects_every_other_basis_boundary(monkeypatch):
+    # every alpha_j but the closed-form alpha_k, and beta_k, break the odd chain relation
+    cases = 0
+    for g in range(2, 7):
+        for t in range(1, 2 * g + 1, 2):
+            k = (t + 1) // 2
+            others = [alpha(j, g) for j in range(1, g + 1) if j != k] + [beta(k, g)]
+            for d in others:
+                _with_boundary(monkeypatch, t, g, d)
+                assert check_chain(t, g).status == "fail", (t, g, d)
+                cases += 1
+    assert cases == 90
+
+
+def test_check_chain_fails_with_both_sides(monkeypatch):
+    _with_boundary(monkeypatch, 3, 3, alpha(1, 3))
+    v = check_chain(3, 3)
+    assert v.status == "fail"
+    assert set(v.details) == {
+        "power", "boundary", "lhs_word", "rhs_word", "lhs_matrix", "rhs_matrix",
+    }
+    assert v.details["power"] == 4
+    assert v.details["boundary"] == {"d1": [1, 0, 0, 0, 0, 0], "d2": [-1, 0, 0, 0, 0, 0]}
+    assert v.details["lhs_word"] == "(Ta1 Tb1 Tc1)^4"
+    assert v.details["rhs_word"] == "Td1 Td2"
+    assert v.details["lhs_matrix"] != v.details["rhs_matrix"]
 
 
 def test_check_chain_uninstantiable():
@@ -197,7 +237,7 @@ def test_relation_suite_builds_one_twist_per_curve(monkeypatch):
     g = 8
     for cached in (lickorish_system, lantern_configuration, chain_configuration):
         cached.cache_clear()
-    lickorish_system(g)  # the sign solver's candidate curves are not counted
+    lickorish_system(g)
     built = []
     real = curves.transvection
 
