@@ -7,6 +7,7 @@ Exit status: 0 when every selected check passes, 1 on a check failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import stat
 import sys
@@ -99,6 +100,8 @@ def _write_out(path, text):
     directly.  tempfile is imported here: it loads random, shutil, bz2
     and lzma, which only --out needs.
     """
+    if not path:
+        raise UsageError("cannot write --out '': empty path")
     import tempfile
 
     try:
@@ -159,13 +162,16 @@ def run(args):
     env = report_mod.envelope(report, timings)
     text = (report_mod.emit_json(env) if args.output == "structured"
             else report_mod.emit_text(env))
-    if args.out:
+    if args.out is not None:
         _write_out(args.out, text)
     sys.stdout.write(text)
     return 0 if report["passed"] else 1
 
 
 def main(argv=None):
+    # A run is one-shot, so the collector need not walk the import-time heap
+    # again, neither during the run nor at shutdown.
+    gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

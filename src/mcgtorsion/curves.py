@@ -80,9 +80,6 @@ class IntersectionTable:
     def get(self, u, v):
         return self._data.get(self._key(u, v), 0)
 
-    def items(self):
-        return sorted(self._data.items())
-
 
 def intersections_consistent(curves, table):
     """|algebraic pairing| <= geometric number, equal when the latter is 0 or 1.
@@ -172,17 +169,6 @@ def lickorish_system(g):
         raise ValueError(f"Lickorish system needs genus >= 2, got {g}")
     return _checked_system(g, ((1, 1),) * (g - 1))
 
-
-def lickorish_curves(g):
-    """The 3g-1 curves a_1..a_g, b_1..b_g, c_1..c_{g-1}."""
-    return lickorish_system(g).curves
-
-
-def lickorish_table(g):
-    return lickorish_system(g).table
-
-
-LANTERN_ROLES = ("a", "b", "c", "d", "x", "y", "z")
 
 # y and z on alpha_1..alpha_3, and the signs of the boundary roles a, b, c, d
 LANTERN_INTERIOR = {"y": (1, 0, -1), "z": (1, 1, 1)}

@@ -1,4 +1,4 @@
-"""Deterministic report emission and parsing.
+"""Deterministic report emission.
 
 A run produces an envelope {"report": ..., "timings": ...}.  The report
 part is byte-stable across identical runs; timings are wall-clock floats
@@ -17,15 +17,6 @@ def envelope(report, timings):
 
 def emit_json(env):
     return json.dumps(env, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def comparable_json(env):
-    """The byte-stable portion: the report without timings."""
-    return json.dumps(env["report"], sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def parse_json(text):
-    return json.loads(text)
 
 
 def _format_check(name, section, lines):

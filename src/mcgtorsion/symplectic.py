@@ -121,15 +121,6 @@ def beta(i, g):
     return HomologyClass(tuple(1 if k == g + i - 1 else 0 for k in range(2 * g)), g)
 
 
-def symplectic_form(x, y):
-    """x^T J y.  Antisymmetric and bilinear."""
-    if x.genus != y.genus:
-        raise ValueError(f"genus mismatch: {x.genus} vs {y.genus}")
-    g = x.genus
-    a, b = x.coords, y.coords
-    return sum(a[i] * b[g + i] - a[g + i] * b[i] for i in range(g))
-
-
 # The kernels below work on the moved rows of M = I + Delta.  Delta maps each
 # row index i whose row of M differs from e_i to that row's nonzero entries
 # {j: x}; it stores no zero entry and no row equal to e_i, so it is

@@ -26,7 +26,6 @@ the Torelli kernel are invisible by design.
 
 from __future__ import annotations
 
-from . import kernels
 from .chain import StabilizerChain
 from .curves import lickorish_system
 from .symplectic import (
@@ -61,58 +60,6 @@ class OrbitSet(Frozen):
     @property
     def size(self):
         return len(self.classes)
-
-    def contains(self, cls):
-        return cls.canonical().coords in self.classes
-
-
-def _canon(coords):
-    for x in coords:
-        if x > 0:
-            return coords
-        if x < 0:
-            return tuple(-v for v in coords)
-    return coords
-
-
-def orbit_closure(generators, seeds, cap, targets=None):
-    """Level-synchronous BFS of seed classes under generators and inverses.
-
-    Stops at the first completed level containing all targets (when given),
-    when the orbit closes, or when the explored set would pass cap, in
-    which case the result is flagged exceeded.  The tests use it as the
-    oracle for the explicit words of property1_orbit_check.
-    """
-    if not generators:
-        raise ValueError("need at least one generator")
-    genus = generators[0].genus
-    maps = []
-    for m in generators:
-        inv = m.inv()
-        maps += [m] if inv == m else [m, inv]
-    seen = set()
-    for s in seeds:
-        if s.genus != genus:
-            raise ValueError("seed genus mismatch")
-        seen.add(_canon(s.coords))
-    frontier = sorted(seen)
-    target_set = set(targets) if targets else None
-    depth = 0
-    while frontier and not (target_set is not None and target_set <= seen):
-        nxt = []
-        for coords in frontier:
-            for m in maps:
-                img = _canon(m.apply(coords))
-                if img in seen:
-                    continue
-                if len(seen) >= cap:
-                    return OrbitSet(genus, frozenset(seen), depth, True)
-                seen.add(img)
-                nxt.append(img)
-        if nxt:
-            depth += 1
-        frontier = sorted(nxt)
-    return OrbitSet(genus, frozenset(seen), depth, False)
 
 
 def lickorish_words(g, names):
@@ -160,9 +107,9 @@ def property1_orbit_check(g):
         v = alpha(1, g)
         for name in words[u.name]:
             v = by_name[name].apply(v)
-        end = _canon(v.coords)
+        end = v.canonical().coords
         reached.add(end)
-        if end == _canon(u.cls.coords):
+        if end == u.cls.canonical().coords:
             witnesses[u.name] = list(words[u.name])
         else:
             missing.append(u.name)
@@ -188,17 +135,6 @@ def sp_modp_order(g, p):
     for i in range(1, g + 1):
         order *= p ** (2 * i) - 1
     return order
-
-
-def modp_subgroup_order(generators, p, cap=2_000_000, with_parents=False):
-    """Exact order of the mod-p subgroup generated, or None when cap is hit.
-
-    Enumerates the group with the closure BFS oracle in `kernels`; the tests
-    cross-check the stabilizer chains against it, and no certificate uses
-    it.  Returns (order_or_None, ClosureResult)."""
-    mats = [reduce_mod_p(m, p) for m in generators]
-    result = kernels.modp_closure(mats, p, cap=cap, with_parents=with_parents)
-    return (None if result.exceeded else result.size), result
 
 
 def certificate_mode(g, p):

@@ -14,7 +14,7 @@ from .curves import (
     lantern_configuration,
     lickorish_system,
 )
-from .symplectic import Frozen, identity, transvection
+from .symplectic import Frozen, identity
 
 _TOKEN_RE = re.compile(r"^(?P<name>[A-Za-z][A-Za-z0-9]*)(?:\^(?P<exp>-?\d+))?$")
 
@@ -167,15 +167,6 @@ def check_lantern(g):
     if not product_ok:
         details.update(_fail_details("Ta Tb Tc Td", "Tx Ty Tz", lhs, rhs))
     return Verdict(f"lantern(g={g})", "pass" if ok else "fail", details)
-
-
-def check_conjugacy(f, c):
-    """f T_c f^{-1} = T_{f(c)}; a theorem of the representation."""
-    cls = c.cls if hasattr(c, "cls") else c
-    return _equality(
-        f"conjugacy({getattr(c, 'name', 'class')})", "f Tc f^-1", "T_f(c)",
-        f @ transvection(cls) @ f.inv(), transvection(f.apply(cls)),
-    )
 
 
 def relation_suite(g):

@@ -2,13 +2,19 @@
 
 These helpers recompute matrix facts with plain list arithmetic so that
 expected values asserted in the tests do not depend on the code paths
-under test.
+under test.  The reference implementations the engine is compared against
+live here too, since no verdict reads them: the symplectic form, the
+conjugacy identity, the orbit BFS and the report's byte-stable portion.
 """
 
+import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from mcgtorsion.symplectic import HomologyClass, transvection  # noqa: E402
+from mcgtorsion.theorem import OrbitSet  # noqa: E402
 
 
 def mm(a, b):
@@ -72,3 +78,64 @@ def moved_rows(rows):
         if entries != {i: 1}:
             out[i] = entries
     return out
+
+
+def symplectic_form(x, y):
+    """x^T J y.  Antisymmetric and bilinear."""
+    if x.genus != y.genus:
+        raise ValueError(f"genus mismatch: {x.genus} vs {y.genus}")
+    g = x.genus
+    a, b = x.coords, y.coords
+    return sum(a[i] * b[g + i] - a[g + i] * b[i] for i in range(g))
+
+
+def check_conjugacy(f, c):
+    """f T_c f^{-1} = T_{f(c)} for a curve c; a theorem of the representation."""
+    return f @ transvection(c.cls) @ f.inv() == transvection(f.apply(c.cls))
+
+
+def orbit_closure(generators, seeds, cap, targets=None):
+    """Level-synchronous BFS of seed classes under generators and inverses.
+
+    Classes are kept up to sign, as the coordinates of their canonical()
+    representatives.  Stops at the first completed level containing all
+    targets (when given), when the orbit closes, or when the explored set
+    would pass cap, in which case the result is flagged exceeded.  The
+    oracle for the explicit words of theorem.property1_orbit_check.
+    """
+    if not generators:
+        raise ValueError("need at least one generator")
+    genus = generators[0].genus
+    maps = []
+    for m in generators:
+        inv = m.inv()
+        maps += [m] if inv == m else [m, inv]
+    seen = set()
+    for s in seeds:
+        if s.genus != genus:
+            raise ValueError("seed genus mismatch")
+        seen.add(s.canonical().coords)
+    frontier = sorted(seen)
+    target_set = set(targets) if targets else None
+    depth = 0
+    while frontier and not (target_set is not None and target_set <= seen):
+        nxt = []
+        for coords in frontier:
+            cls = HomologyClass(coords, genus)
+            for m in maps:
+                img = m.apply(cls).canonical().coords
+                if img in seen:
+                    continue
+                if len(seen) >= cap:
+                    return OrbitSet(genus, frozenset(seen), depth, True)
+                seen.add(img)
+                nxt.append(img)
+        if nxt:
+            depth += 1
+        frontier = sorted(nxt)
+    return OrbitSet(genus, frozenset(seen), depth, False)
+
+
+def comparable_json(env):
+    """The byte-stable portion of a report envelope: the report without timings."""
+    return json.dumps(env["report"], sort_keys=True, separators=(",", ":")) + "\n"

@@ -8,6 +8,7 @@ import random
 import resource
 import time
 
+from conftest import comparable_json
 from mcgtorsion import report as report_mod
 from mcgtorsion.curves import lickorish_system
 from mcgtorsion.symplectic import (
@@ -167,7 +168,7 @@ def test_criterion_7_infrastructure_properties():
     stable = []
     for _ in range(2):
         report, timings = full_theorem_report(3)
-        stable.append(report_mod.comparable_json(report_mod.envelope(report, timings)))
+        stable.append(comparable_json(report_mod.envelope(report, timings)))
     assert stable[0] == stable[1]
     elapsed = time.perf_counter() - t0
     print(f"\nACCEPTANCE 7 PASS: 100 homomorphism + 100 conjugacy checks per genus, "

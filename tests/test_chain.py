@@ -3,13 +3,13 @@ import pytest
 from mcgtorsion import chain as chain_mod
 from mcgtorsion import theorem
 from mcgtorsion.chain import StabilizerChain
+from mcgtorsion.kernels import modp_closure
 from mcgtorsion.curves import lickorish_system
 from mcgtorsion.symplectic import identity, reduce_mod_p
 from mcgtorsion.theorem import (
     _orbit_generic,
     _orbit_packed,
     modp_certificate,
-    modp_subgroup_order,
     modp_transitivity,
     sp_modp_order,
 )
@@ -41,12 +41,13 @@ def _replay(word, mats, p):
 ])
 def test_chain_order_matches_bfs_oracle(names, p):
     gens = _twists(2, names)
-    bfs_order, closure = modp_subgroup_order(gens, p)
     mats = [reduce_mod_p(m, p) for m in gens]
+    closure = modp_closure(mats, p)
+    assert not closure.exceeded
     chain = StabilizerChain(mats, p)
-    assert chain.order() == bfs_order
+    assert chain.order() == closure.size
     if names is None:
-        assert bfs_order == sp_modp_order(2, p)
+        assert closure.size == sp_modp_order(2, p)
     # membership agrees with the enumeration on every generator product
     for a in mats:
         for b in mats:
@@ -180,10 +181,11 @@ def test_mod2_chain_three_chunk_products():
     # Sp(4,2) on the last two handles at g=9: columns have n = 18 bits, so
     # every product reads three 8-bit chunks, the last one bits 16 and 17
     gens = _twists(9, ("a8", "b8", "c8", "a9", "b9"))
-    bfs_order, closure = modp_subgroup_order(gens, 2)
     mats = [reduce_mod_p(m, 2) for m in gens]
+    closure = modp_closure(mats, 2)
+    assert not closure.exceeded
     chain = StabilizerChain(mats, 2)
-    assert chain.order() == bfs_order == 720
+    assert chain.order() == closure.size == 720
     for a in mats:
         for b in mats:
             prod = tuple(tuple(v % 2 for v in row) for row in mm(a, b))

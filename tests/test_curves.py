@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import ident, mm, mpow, tv
+from conftest import ident, mm, mpow, symplectic_form, tv
 from mcgtorsion import curves as curves_mod
 from mcgtorsion import symplectic
 from mcgtorsion.curves import (
@@ -16,21 +16,19 @@ from mcgtorsion.curves import (
     chain_sequence,
     intersections_consistent,
     lantern_configuration,
-    lickorish_curves,
     lickorish_system,
-    lickorish_table,
 )
-from mcgtorsion.symplectic import HomologyClass, alpha, symplectic_form, zero_class
+from mcgtorsion.symplectic import HomologyClass, alpha, zero_class
 
 
 def test_curve_counts():
     for g in range(2, 9):
-        assert len(lickorish_curves(g)) == 3 * g - 1
+        assert len(lickorish_system(g).curves) == 3 * g - 1
 
 
 def test_rejects_small_genus():
     with pytest.raises(ValueError):
-        lickorish_curves(1)
+        lickorish_system(1)
     with pytest.raises(ValueError):
         lantern_configuration(2)
 
@@ -44,7 +42,7 @@ def test_named_curve_validation():
 
 def test_declared_intersections():
     g = 3
-    table = lickorish_table(g)
+    table = lickorish_system(g).table
     assert table.get("a1", "b1") == 1
     assert table.get("b1", "c1") == 1
     assert table.get("c1", "b2") == 1
@@ -105,7 +103,7 @@ def test_c_classes_pair_with_adjacent_b():
 
 def test_all_nonseparating_classes_primitive():
     for g in (2, 3, 5, 8):
-        for u in lickorish_curves(g):
+        for u in lickorish_system(g).curves:
             assert u.cls.is_primitive
 
 

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from conftest import comparable_json
 from mcgtorsion import cli, theorem
 from mcgtorsion import report as report_mod
 from mcgtorsion.symplectic import identity
@@ -29,14 +30,14 @@ def test_report_round_trip():
     report, timings = full_theorem_report(3, checks={"relations", "torsion"})
     env = report_mod.envelope(report, timings)
     text = report_mod.emit_json(env)
-    assert report_mod.parse_json(text) == env
+    assert json.loads(text) == env
 
 
 def test_report_byte_stable_across_runs():
     runs = []
     for _ in range(2):
         report, timings = full_theorem_report(3)
-        runs.append(report_mod.comparable_json(report_mod.envelope(report, timings)))
+        runs.append(comparable_json(report_mod.envelope(report, timings)))
     assert runs[0] == runs[1]
 
 
@@ -149,6 +150,15 @@ def test_cli_out_unwritable_is_usage_error(tmp_path, target):
     assert proc.stdout == ""
     # no temporary file is left behind
     assert [p.name for p in tmp_path.iterdir()] == ["existing_dir"]
+
+
+def test_cli_out_empty_path_is_usage_error():
+    # a script passing an unset "$OUT" gives --out '', which used to write nothing and exit 0
+    proc = _run_cli("--genus", "3", "--checks", "relations", "--out", "")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write --out")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("args", [

@@ -1,16 +1,24 @@
 """Golden digests of the byte-stable `report` part of `mcg-verify --output structured`.
 
-Each digest is the sha256 of `report.comparable_json` of the emitted
-envelope.  A change to the arithmetic kernels must leave these unchanged;
-a deliberate change to the report needs a schema bump and new digests.
+Each digest is the sha256 of `comparable_json` (tests/conftest.py) of the
+emitted envelope.  A change to the arithmetic kernels must leave these
+unchanged; a deliberate change to the report needs a schema bump and new
+digests.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from conftest import comparable_json
 from mcgtorsion import cli
-from mcgtorsion import report as report_mod
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 GOLDEN = {
     ("--genus", "3"):
@@ -47,9 +55,24 @@ GOLDEN = {
 }
 
 
+def _digest(text):
+    return hashlib.sha256(comparable_json(json.loads(text)).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("args", sorted(GOLDEN), ids=" ".join)
 def test_report_matches_golden_digest(args, capsys):
     assert cli.main([*args, "--output", "structured"]) == 0
-    env = report_mod.parse_json(capsys.readouterr().out)
-    digest = hashlib.sha256(report_mod.comparable_json(env).encode()).hexdigest()
-    assert digest == GOLDEN[args]
+    assert _digest(capsys.readouterr().out) == GOLDEN[args]
+
+
+@pytest.mark.parametrize(
+    "args", [("--genus", "3"), ("--genus", "8", "--checks", "modp", "--prime", "2")],
+    ids=" ".join)
+def test_process_entry_matches_golden_digest(args):
+    # the benchmark runs `python -m mcgtorsion`, one process per report
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "mcgtorsion", *args, "--output", "structured"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert _digest(proc.stdout) == GOLDEN[args]

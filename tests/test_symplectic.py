@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import ident, mm, mpow, order_oracle, tv
+from conftest import ident, mm, mpow, order_oracle, symplectic_form, tv
 from mcgtorsion.symplectic import (
     HomologyClass,
     SympMatrix,
@@ -12,7 +12,6 @@ from mcgtorsion.symplectic import (
     identity,
     pack_columns,
     reduce_mod_p,
-    symplectic_form,
     transvection,
     xor_tables,
     zero_class,

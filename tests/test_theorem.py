@@ -1,6 +1,8 @@
 import pytest
 
+from conftest import orbit_closure
 from mcgtorsion.curves import lickorish_system
+from mcgtorsion.kernels import modp_closure
 from mcgtorsion import theorem, torsion
 from mcgtorsion.symplectic import alpha, identity, reduce_mod_p, transvection
 from mcgtorsion.theorem import (
@@ -10,9 +12,7 @@ from mcgtorsion.theorem import (
     lickorish_words,
     luo_decomposition_check,
     modp_certificate,
-    modp_subgroup_order,
     modp_transitivity,
-    orbit_closure,
     property1_orbit_check,
     sp_modp_order,
 )
@@ -57,8 +57,8 @@ def test_orbit_identity_only():
     orbit = orbit_closure([identity(3)], [alpha(1, 3)], cap=100)
     assert orbit.size == 1
     assert not orbit.exceeded
-    assert orbit.contains(alpha(1, 3))
-    assert orbit.contains(-alpha(1, 3))  # canonicalized up to sign
+    assert alpha(1, 3).canonical().coords in orbit.classes
+    assert (-alpha(1, 3)).canonical().coords in orbit.classes  # canonicalized up to sign
 
 
 @pytest.mark.parametrize("g", range(3, 9))
@@ -153,31 +153,34 @@ def test_sp_order_formula():
     assert sp_modp_order(3, 2) == 1_451_520
 
 
+def _closure_mod2(gens, **kwargs):
+    return modp_closure([reduce_mod_p(m, 2) for m in gens], 2, **kwargs)
+
+
 def test_modp_order_identity_only():
-    order, _ = modp_subgroup_order([identity(2)], 2)
-    assert order == 1
+    assert _closure_mod2([identity(2)]).size == 1
 
 
 def test_modp_order_sp42():
     gens = [u.twist for u in lickorish_system(2).curves]
-    order, _ = modp_subgroup_order(gens, 2)
-    assert order == 720
+    closure = _closure_mod2(gens)
+    assert not closure.exceeded
+    assert closure.size == 720
 
 
 def test_modp_order_divides_with_extra_generator():
     g = 2
     system = lickorish_system(g)
     partial = [system.curve("a1").twist, system.curve("b1").twist]
-    order_small, _ = modp_subgroup_order(partial, 2)
-    order_large, _ = modp_subgroup_order(partial + [system.curve("a2").twist], 2)
+    order_small = _closure_mod2(partial).size
+    order_large = _closure_mod2(partial + [system.curve("a2").twist]).size
     assert order_large % order_small == 0
     assert order_small < order_large
 
 
 def test_modp_order_cap_exceeded():
     gens = [u.twist for u in lickorish_system(2).curves]
-    order, result = modp_subgroup_order(gens, 2, cap=100)
-    assert order is None
+    result = _closure_mod2(gens, cap=100)
     assert result.exceeded
     assert result.size == 100  # partial count
 
@@ -275,9 +278,9 @@ def test_same_subgroup_witnesses_evaluate():
     g = 2
     system = lickorish_system(g)
     gens = [u.twist for u in system.curves]
-    order, closure = modp_subgroup_order(gens, 2, with_parents=True)
-    assert order == 720
     mats2 = [reduce_mod_p(m, 2) for m in gens]
+    closure = modp_closure(mats2, 2, with_parents=True)
+    assert closure.size == 720
     target = reduce_mod_p(system.curve("a2").twist @ system.curve("b1").twist, 2)
     word = closure.witness(target)
     assert word is not None
