@@ -1,6 +1,6 @@
-"""Stabilizer chains for matrix groups over F_p (Schreier-Sims).
+"""Stabilizer chains for matrix groups over F_2 (Schreier-Sims).
 
-The group acts on column vectors of F_p^n.  Base points are unit vectors.
+The group acts on column vectors of F_2^n.  Base points are unit vectors.
 Level i holds the orbit of its base point b_i under the level's strong
 generators, each orbit point with a transversal element that maps b_i to
 it; the level's group is the stabilizer of b_0 .. b_{i-1}.  The chain is
@@ -10,15 +10,14 @@ Computational Group Theory*, 4.4.1).  It stops only once every Schreier
 generator at every level sifts to the identity, so the product of the
 orbit lengths is the exact group order and sifting decides membership.
 
-At p = 2 a matrix is held as the tuple of its column bitmasks (bit i of
-entry j is M[i][j], symplectic.pack_columns) and vectors as ints.  A
-product a b is one lookup per column of b in a's `symplectic.xor_tables`,
-built once per left factor; the left factors are the strong generators and
-the stored transversal inverses, so the tables are reused.  Other primes
-hold a matrix as a tuple of rows.  The algorithm is written once: only the
-product and the column primitives depend on p.  The image of a base e_k
-under a matrix is the matrix's column k, so no separate matrix-vector
-product is needed.
+A matrix is held as the tuple of its column bitmasks (bit i of entry j is
+M[i][j], symplectic.pack_columns) and vectors as ints.  A product a b is
+one lookup per column of b in a's `symplectic.xor_tables`, built once per
+left factor; the left factors are the strong generators and the stored
+transversal inverses, so the tables are reused.  The image of a base e_k
+under a matrix is its column k, so no matrix-vector product is needed.
+The field is F_2 only: the mod-p certificate builds chains only in
+exact-order mode, which theorem.certificate_mode picks for p = 2 alone.
 
 Every element carries a word over the input generator indices: the word
 (i, j, k) stands for G_i G_j G_k.  An inverse G_i^-1 is written as
@@ -29,19 +28,8 @@ so words use generator indices only.
 from __future__ import annotations
 
 from itertools import chain
-from operator import getitem, mul
 
 from .symplectic import pack_columns, xor_tables
-
-
-def mul_mod(a, b, p):
-    """The product a b of two matrices over F_p, as tuples of rows."""
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) % p for col in bt) for row in a)
-
-
-def _row_column(mat, k):
-    return tuple(row[k] for row in mat)
 
 
 class _Level:
@@ -62,28 +50,22 @@ class _Level:
 
 
 class StabilizerChain:
-    """Base and strong generating set of the group generated by gens mod p.
+    """Base and strong generating set of the group generated by gens mod 2.
 
-    gens are square matrices over F_p given as sequences of rows, for
-    example the output of symplectic.reduce_mod_p.  Stored elements are
-    tuples (matrix, inverse, word, inverse word).
+    gens are square integer matrices given as sequences of rows, for
+    example the output of symplectic.reduce_mod_p(m, 2); entries are read
+    mod 2.  Stored elements are tuples (matrix, inverse, word, inverse word).
     """
 
-    def __init__(self, gens, p):
+    def __init__(self, gens):
         if not gens:
             raise ValueError("need at least one generator")
-        self.p = p
-        self.gens = [tuple(tuple(x % p for x in row) for row in g) for g in gens]
-        self.n = n = len(self.gens[0])
-        if any(len(g) != n or any(len(row) != n for row in g) for g in self.gens):
+        self.n = n = len(gens[0])
+        if any(len(g) != n or any(len(row) != n for row in g) for g in gens):
             raise ValueError("generators must be square matrices of equal size")
-        if p == 2:
-            self._pack, self._mul, self._col = pack_columns, self._mul_f2, getitem
-            self._tables = {}
-        else:
-            self._pack, self._mul, self._col = tuple, self._mul_rows, _row_column
-        self._ident = self._pack(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-        self._gens = [self._pack(g) for g in self.gens]
+        self._tables = {}
+        self._ident = tuple(1 << k for k in range(n))
+        self._gens = [pack_columns(g) for g in gens]
         self._orders = [len(self._powers(g)) for g in self._gens]
         self._levels = []
         first = [self._element(g, (i,)) for i, g in enumerate(self._gens) if g != self._ident]
@@ -92,8 +74,8 @@ class StabilizerChain:
             self._levels[0].gens.extend(first)
         self._build()
 
-    def _mul_f2(self, a, b):
-        """a b over F_2 on column bitmasks: column j is a applied to b's column j."""
+    def _mul(self, a, b):
+        """a b on column bitmasks: column j is a applied to b's column j."""
         tables = self._tables.get(a)
         if tables is None:
             tables = self._tables[a] = xor_tables(a)
@@ -105,16 +87,13 @@ class StabilizerChain:
             out = [x ^ table[(col >> shift) & 0xFF] for x, col in zip(out, b)]
         return tuple(out)
 
-    def _mul_rows(self, a, b):
-        return mul_mod(a, b, self.p)
-
     def _powers(self, mat):
         """[mat, mat^2, ..., identity]; the length is the order of mat."""
         powers = [mat]
         while powers[-1] != self._ident:
-            # an invertible matrix has order below p^n
-            if len(powers) >= self.p ** self.n:
-                raise ValueError("generator is not invertible mod p")
+            # an invertible matrix has order below 2^n
+            if len(powers) >= 1 << self.n:
+                raise ValueError("generator is not invertible mod 2")
             powers.append(self._mul(mat, powers[-1]))
         return powers
 
@@ -138,9 +117,8 @@ class StabilizerChain:
 
     def _new_level(self, mat):
         """Append a level whose base is the first unit vector that mat moves."""
-        col, ident = self._col, self._ident
-        k = next(k for k in range(self.n) if col(mat, k) != col(ident, k))
-        self._levels.append(_Level(k, col(ident, k), ident))
+        k = next(k for k in range(self.n) if mat[k] != self._ident[k])
+        self._levels.append(_Level(k, self._ident[k], self._ident))
 
     def _strip(self, h, start):
         """Sift the matrix h through the levels from start on.
@@ -150,7 +128,7 @@ class StabilizerChain:
         """
         used = []
         for level in self._levels[start:]:
-            u = level.trans.get(self._col(h, level.k))
+            u = level.trans.get(h[level.k])
             if u is None:
                 break
             h = self._mul(u[1], h)
@@ -164,7 +142,7 @@ class StabilizerChain:
         that does not sift to the identity through the deeper levels, else
         None.
         """
-        mul, col = self._mul, self._col
+        mul = self._mul
         level = self._levels[i]
         gens, orbit, trans, done, k = level.gens, level.orbit, level.trans, level.done, level.k
         j = 0
@@ -175,7 +153,7 @@ class StabilizerChain:
                 done[j] += 1
                 su = mul(s[0], u[0])
                 # s u e_k = s(orbit[j]), as u e_k = orbit[j]
-                img = col(su, k)
+                img = su[k]
                 t = trans.get(img)
                 if t is None:
                     word = self._fold(s[2] + u[2])
@@ -215,20 +193,19 @@ class StabilizerChain:
     def sift(self, mat):
         """Word over generator indices evaluating to mat, or None if not a member.
 
-        mat is an n x n integer matrix given as a sequence of rows; any other
-        shape raises ValueError.
+        mat is an n x n integer matrix given as a sequence of rows, read
+        mod 2; any other shape raises ValueError.
         """
         n = self.n
         if len(mat) != n or any(len(row) != n for row in mat):
             raise ValueError(f"expected a {n}x{n} matrix")
-        mat = self._pack(tuple(tuple(x % self.p for x in row) for row in mat))
-        residue, _, used = self._strip(mat, 0)
+        residue, _, used = self._strip(pack_columns(mat), 0)
         if residue != self._ident:
             return None
         return self._fold(chain(*(u[2] for u in used)))
 
     def evaluate(self, word):
-        """The matrix G_{w0} G_{w1} ... mod p, as tuples of rows.
+        """The matrix G_{w0} G_{w1} ... mod 2, as tuples of rows.
 
         word is a sequence of generator indices in range(len(gens)); any
         other index raises ValueError.
@@ -239,6 +216,4 @@ class StabilizerChain:
         acc = self._ident
         for x in reversed(word):
             acc = self._mul(self._gens[x], acc)
-        if self.p == 2:
-            return tuple(tuple((col >> i) & 1 for col in acc) for i in range(self.n))
-        return acc
+        return tuple(tuple((col >> i) & 1 for col in acc) for i in range(self.n))

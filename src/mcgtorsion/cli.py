@@ -139,6 +139,12 @@ def run(args):
         raise UsageError(f"prime must be one of {SMALL_PRIMES}, got {args.prime}")
 
     if args.eval_word is not None:
+        report_flags = {"--checks": args.checks is not None, "--prime": args.prime is not None,
+                        "--witness": args.witness, "--output structured": args.output == "structured",
+                        "--out": args.out is not None}
+        given = [flag for flag, on in report_flags.items() if on]
+        if given:
+            raise UsageError(f"--eval prints a matrix, not a report; drop {', '.join(given)}")
         try:
             sys.stdout.write(_eval_word(args.genus, args.eval_word))
         except ValueError as exc:

@@ -12,12 +12,19 @@ is a tuple of row tuples reduced mod p.
 
 from __future__ import annotations
 
-from .chain import mul_mod
+from operator import mul
+
 from .symplectic import SMALL_PRIMES, Frozen, xor_table
 
 # perfbench/run.py's warm-up reads both names; there is only the pure closure.
 BACKEND = "pure"
 _speedups = None
+
+
+def mul_mod(a, b, p):
+    """The product a b of two matrices over F_p, as tuples of rows."""
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in bt) for row in a)
 
 
 def _state(mat, p):

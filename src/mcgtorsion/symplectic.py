@@ -369,7 +369,10 @@ class SympMatrix(Frozen):
             out[i] = dot
         out = tuple(out)
         if isinstance(x, HomologyClass):
-            return HomologyClass(out, self.genus)
+            # out is already a tuple of ints: built without re-coercion
+            img = HomologyClass.__new__(HomologyClass)
+            img._set_fields(coords=out, genus=self.genus)
+            return img
         return out
 
     def to_lists(self):

@@ -9,15 +9,16 @@ certified by the paper's own words: a fixed generator word per curve,
 applied to a_1 and compared with the curve's class, so it needs no search
 and always decides pass or fail.
 
-The mod-p certificate is exact order when |Sp(2g, p)| is at most
-EXACT_ORDER_LIMIT: stabilizer chains of the torsion and twist images give
-both orders exactly, sifting each twist through the torsion chain shows
-that the twist group lies in the torsion group, and equal orders then
-make the two groups equal.  Above that bound it falls back to
-transitivity on nonzero vectors, which is run only for p in (2, 3) and
-only when all p^(2g) - 1 nonzero vectors are at most TRANSITIVITY_LIMIT;
-any other (genus, prime) pair is rejected before a check runs.  The
-bounds are fixed, so every accepted pair is decided pass or fail.
+The mod-p certificate is exact order when p = 2 and |Sp(2g, 2)| is at
+most EXACT_ORDER_LIMIT, which for g >= 3 holds at g = 3 alone:
+stabilizer chains of the torsion and twist images give both orders
+exactly, sifting each twist through the torsion chain shows that the
+twist group lies in the torsion group, and equal orders then make the two
+groups equal.  Otherwise it falls back to transitivity on nonzero
+vectors, which is run only for p in (2, 3) and only when all p^(2g) - 1
+nonzero vectors are at most TRANSITIVITY_LIMIT; any other (genus, prime)
+pair is rejected before a check runs.  The bounds are fixed, so every
+accepted pair is decided pass or fail.
 
 Everything here sees only the homology representation, so a passing run
 certifies necessary conditions of the generation statement; phenomena in
@@ -140,11 +141,12 @@ def sp_modp_order(g, p):
 def certificate_mode(g, p):
     """The mod-p certificate that decides generation at genus g, or None.
 
-    "exact-order" when |Sp(2g, p)| <= EXACT_ORDER_LIMIT; else "transitivity"
-    when p is 2 or 3 and all p^(2g) - 1 nonzero vectors fit under
-    TRANSITIVITY_LIMIT; else None, and the pair is rejected before any check.
+    "exact-order" when p = 2 and |Sp(2g, 2)| <= EXACT_ORDER_LIMIT (the
+    stabilizer chain works over F_2); else "transitivity" when p is 2 or 3
+    and all p^(2g) - 1 nonzero vectors fit under TRANSITIVITY_LIMIT; else
+    None, and the pair is rejected before any check.
     """
-    if sp_modp_order(g, p) <= EXACT_ORDER_LIMIT:
+    if p == 2 and sp_modp_order(g, 2) <= EXACT_ORDER_LIMIT:
         return "exact-order"
     if p in (2, 3) and p ** (2 * g) - 1 <= TRANSITIVITY_LIMIT:
         return "transitivity"
@@ -263,8 +265,8 @@ def modp_certificate(g, p, with_witnesses=False):
         system = lickorish_system(g)
         mats = [reduce_mod_p(m, p) for m in gens]
         twist_mats = [reduce_mod_p(u.twist, p) for u in system.curves]
-        torsion = StabilizerChain(mats, p)
-        twists = StabilizerChain(twist_mats, p)
+        torsion = StabilizerChain(mats)
+        twists = StabilizerChain(twist_mats)
         order, lk_order = torsion.order(), twists.order()
         section["torsion_order"] = order
         section["lickorish_order"] = lk_order
@@ -324,9 +326,9 @@ def full_theorem_report(g, prime=None, with_witnesses=False, checks=None):
     checks is a subset of {"relations", "torsion", "theorem", "modp"};
     None means every applicable check (modp only when a prime is given).
     Raises ValueError before any check runs when the selection needs a
-    larger genus or a prime, when no mod-p certificate can decide
-    (certificate_mode is None), or when with_witnesses is set and no
-    exact-order certificate runs.
+    larger genus or a prime, when a prime is given without the modp check,
+    when no mod-p certificate can decide (certificate_mode is None), or
+    when with_witnesses is set and no exact-order certificate runs.
     """
     import time
 
@@ -347,7 +349,9 @@ def full_theorem_report(g, prime=None, with_witnesses=False, checks=None):
         )
     if "modp" in checks and prime is None:
         raise ValueError("modp check requested without a prime")
-    _require_certificate(g, prime if "modp" in checks else None, with_witnesses)
+    if "modp" not in checks and prime is not None:
+        raise ValueError(f"prime {prime} given without the modp check")
+    _require_certificate(g, prime, with_witnesses)
 
     report = {
         "schema": "mcgtorsion-report/2",

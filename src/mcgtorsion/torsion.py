@@ -11,10 +11,14 @@ Pictures pin these maps down only up to orientation, so the matrices are
 stated as conventions: f1 and f2 act by -1 times a handle permutation
 (PI_ROTATION_SIGN), and f3 by the fixed block LANTERN_ROTATION_BLOCK on
 handles 1..3.  Each is checked as it is built (exact orders, exact curve
-actions, and the twist identities that consume them), and a failed check
-raises.  A pi-rotation turns over each handle that it maps to itself, so it
-acts there by -I, the only element of order 2 in SL(2,Z); this is checked
-too.  f1 maps handle 1 to itself, so the check pins the sign of f1 at every
+actions, f2 f1 the handle shift), and a failed check raises.  The twist
+identities that consume them are checked once, by the theorem verdicts
+that report them: luo_decomposition (implied by f2 being an involution
+with f2 a1 = +/-a2, since W T_c W^-1 = T_{Wc}) and lantern_assembly.
+
+A pi-rotation turns over each handle that it maps to itself, so it acts
+there by -I, the only element of order 2 in SL(2,Z); this is checked too.
+f1 maps handle 1 to itself, so the check pins the sign of f1 at every
 genus, and that of f2 at odd genus, where f2 maps handle (g+3)/2 to itself.
 No check forces the sign of f2 at even genus: it is a convention, pinned by
 the golden report digests.
@@ -159,7 +163,6 @@ def _check_pi_rotations(g, f1, f2):
         "product order g": element_order(prod, g) == g,
         "product is handle shift": prod in shifts,
         "f2 sends a1 to a2": m_sends(f2, alpha(1, g), alpha(2, g)),
-        "luo decomposition": luo_decomposition(g, f2).passed,
         "-I on fixed handles": all(_negates_fixed_handles(f, g) for f in (f1, f2)),
     }
     failed = [k for k, ok in checks.items() if not ok]
@@ -278,9 +281,6 @@ def _validate_f3(cert, g, global_form):
         for i in range(4, g + 1):
             if action.get(f"a{i}", (None,))[0] != f"b{i}":
                 raise AssertionError(f"f3 does not send a{i} to a longitude")
-    # the assembly identity this element exists for
-    if not lantern_assembly(g, cert.matrix).passed:
-        raise AssertionError("f3 fails the lantern assembly identity")
 
 
 @lru_cache(maxsize=None)

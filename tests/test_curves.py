@@ -4,7 +4,7 @@ import pytest
 
 from conftest import ident, mm, mpow, symplectic_form, tv
 from mcgtorsion import curves as curves_mod
-from mcgtorsion import symplectic
+from mcgtorsion import symplectic, words
 from mcgtorsion.curves import (
     IntersectionTable,
     LanternConfig,
@@ -134,12 +134,17 @@ def _lantern_with(config, orientations=None, **interior):
 
 
 @pytest.mark.parametrize("g", (3, 4, 8))
-def test_lantern_rejects_wrong_interior_class(g):
+def test_lantern_rejects_wrong_interior_class(g, monkeypatch):
     config = lantern_configuration(g)
     assert config.roles["y"].cls.coords[:3] == (1, 0, -1)
     assert config.roles["z"].cls.coords[:3] == (1, 1, 1)
-    with pytest.raises(RuntimeError, match="lantern identity failed"):
-        _check_lantern(_lantern_with(config, y=(1, 0, 1)))
+    wrong = _lantern_with(config, y=(1, 0, 1))
+    _check_lantern(wrong)  # its boundary is still null-homologous
+    monkeypatch.setattr(words, "lantern_configuration", lambda genus: wrong)
+    verdict = words.check_lantern(g)
+    assert not verdict.passed
+    assert not verdict.details["product_form"]
+    assert verdict.details["lhs_matrix"] != verdict.details["rhs_matrix"]
 
 
 def test_lantern_rejects_wrong_boundary_orientation():
@@ -150,11 +155,14 @@ def test_lantern_rejects_wrong_boundary_orientation():
         _check_lantern(_lantern_with(config, flipped))
 
 
-def test_lantern_interior_signs_are_a_convention():
+def test_lantern_interior_signs_are_a_convention(monkeypatch):
     # twists on the alpha-span commute and T_{-y} = T_y: these pass every check
     config = lantern_configuration(4)
-    _check_lantern(_lantern_with(config, y=(1, 1, 1), z=(1, 0, -1)))
-    _check_lantern(_lantern_with(config, y=(-1, 0, 1)))
+    for interior in ({"y": (1, 1, 1), "z": (1, 0, -1)}, {"y": (-1, 0, 1)}):
+        other = _lantern_with(config, **interior)
+        _check_lantern(other)
+        monkeypatch.setattr(words, "lantern_configuration", lambda genus: other)
+        assert words.check_lantern(4).passed
 
 
 def test_lantern_roles_and_x_class():

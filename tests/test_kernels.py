@@ -87,7 +87,7 @@ def test_p2_n10_closure_matches_chain_order():
     gens = [reduce_mod_p(u.twist, 2) for u in lickorish_system(g).curves[:3]]
     result = kernels.modp_closure(gens, 2, cap=5000)
     assert not result.exceeded
-    assert result.size == StabilizerChain(gens, 2).order()
+    assert result.size == StabilizerChain(gens).order()
 
 
 def test_invalid_inputs():

@@ -161,6 +161,35 @@ def test_cli_out_empty_path_is_usage_error():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("flags", [
+    ("--out", "ev.json"),
+    ("--checks", "relations"),
+    ("--prime", "2"),
+    ("--witness",),
+    ("--output", "structured"),
+])
+def test_cli_eval_with_report_flag_is_usage_error(flags):
+    # --eval prints one matrix, and used to drop these report flags and exit 0
+    proc = _run_cli("--genus", "3", "--eval", "Ta1", *flags)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: --eval prints a matrix, not a report")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+    assert not os.path.exists(os.path.join(PKG_ROOT, "ev.json"))
+
+
+@pytest.mark.parametrize("args", [
+    ("--genus", "3", "--checks", "relations", "--prime", "2"),
+    ("--genus", "2", "--prime", "2"),  # the default checks at genus 2 hold no modp
+])
+def test_cli_prime_without_modp_is_usage_error(args):
+    # these runs used to drop the prime and exit 0 with no mod-p section
+    proc = _run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: prime 2 given without the modp check\n"
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("args", [
     ("--genus", "11", "--checks", "modp", "--prime", "2"),  # 2^22-1 vectors
     ("--genus", "7", "--prime", "3"),   # 3^14-1 vectors; default checks include modp
@@ -184,12 +213,15 @@ def test_cli_rejects_uncertifiable_prime_before_any_check(args):
     ("--genus", "3", "--checks", "relations", "--prime", "2"),  # no mod-p check
 ])
 def test_cli_rejects_witness_without_exact_order_certificate(args):
-    # these runs used to exit 0 with no membership words
+    # these runs used to exit 0 with no membership words; without the modp
+    # check the prime itself is the first error
     proc = _run_cli(*args, "--witness")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error: membership witnesses need the exact-order")
+    expected = ("error: prime 2 given without the modp check" if "relations" in args
+                else "error: membership witnesses need the exact-order")
+    assert proc.stderr.startswith(expected)
 
 
 def _without_timings(text):

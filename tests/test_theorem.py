@@ -1,9 +1,12 @@
+import json
+from collections import Counter
+
 import pytest
 
 from conftest import orbit_closure
 from mcgtorsion.curves import lickorish_system
 from mcgtorsion.kernels import modp_closure
-from mcgtorsion import theorem, torsion
+from mcgtorsion import cli, curves, theorem, torsion
 from mcgtorsion.symplectic import alpha, identity, reduce_mod_p, transvection
 from mcgtorsion.theorem import (
     certificate_mode,
@@ -285,7 +288,7 @@ def test_same_subgroup_witnesses_evaluate():
     word = closure.witness(target)
     assert word is not None
     acc = reduce_mod_p(identity(g), 2)
-    from mcgtorsion.chain import mul_mod
+    from mcgtorsion.kernels import mul_mod
 
     for gi in word:
         acc = mul_mod(acc, mats2[gi], 2)
@@ -305,3 +308,52 @@ def test_full_report_builds_generators_once(monkeypatch):
     report, _ = full_theorem_report(4)
     assert report["passed"]
     assert calls == [4]
+
+
+def _clear_builders():
+    for cached in (curves.lickorish_system, curves.lantern_configuration,
+                   curves.chain_configuration, torsion._pi_rotations, torsion.build_f3,
+                   torsion.build_genus3_extras, torsion.theorem_generators):
+        cached.cache_clear()
+
+
+def test_each_identity_runs_once(monkeypatch, capsys):
+    # each identity is computed by the verdict that reports it, not again at build time
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("luo_decomposition", "lantern_assembly"):
+        wrapper = counted(name, getattr(torsion, name))
+        monkeypatch.setattr(torsion, name, wrapper)
+        monkeypatch.setattr(theorem, name, wrapper)
+    for name in ("product_sides", "rewritten_sides"):
+        monkeypatch.setattr(curves.LanternConfig, name,
+                            counted(name, getattr(curves.LanternConfig, name)))
+    _clear_builders()
+    assert cli.main(["--genus", "4", "--output", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["passed"]
+    assert calls == {"luo_decomposition": 1, "lantern_assembly": 1,
+                     "product_sides": 1, "rewritten_sides": 1}
+
+
+def test_wrong_lantern_class_fails_the_verdict(monkeypatch, capsys):
+    # a wrong interior class used to raise while building the lantern
+    monkeypatch.setitem(curves.LANTERN_INTERIOR, "y", (1, 0, 1))
+    _clear_builders()
+    try:
+        status = cli.main(["--genus", "3", "--checks", "relations", "--output", "structured"])
+    finally:
+        monkeypatch.undo()
+        _clear_builders()
+    assert status == 1
+    section = json.loads(capsys.readouterr().out)["report"]["checks"]["relations"]
+    (failure,) = [f for f in section["failures"] if f["check"] == "lantern(g=3)"]
+    details = failure["details"]
+    assert details["product_form"] is False
+    assert details["lhs_matrix"] != details["rhs_matrix"]
+    assert len(details["lhs_matrix"]) == len(details["rhs_matrix"]) == 6

@@ -228,7 +228,7 @@ def _rotations(g, s1, s2):
 
 @pytest.mark.parametrize("g", (3, 4, 5, 8))
 def test_pi_rotation_signs_are_pinned_by_the_fixed_handle_check(g):
-    # with both signs +1 the six other checks pass; f1 fixes handle 1 with +I
+    # with both signs +1 the five other checks pass; f1 fixes handle 1 with +I
     with pytest.raises(RuntimeError) as err:
         _check_pi_rotations(g, *_rotations(g, 1, 1))
     assert str(err.value).endswith("['-I on fixed handles']")
