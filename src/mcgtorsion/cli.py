@@ -133,8 +133,6 @@ def _write_out(path, text):
 
 
 def run(args):
-    if args.genus is None or args.genus < 2:
-        raise UsageError(f"genus must be >= 2, got {args.genus}")
     if args.prime is not None and args.prime not in SMALL_PRIMES:
         raise UsageError(f"prime must be one of {SMALL_PRIMES}, got {args.prime}")
 
@@ -152,9 +150,6 @@ def run(args):
         return 0
 
     checks = _parse_checks(args.checks)
-    if checks is not None and "modp" in checks and args.prime is None:
-        raise UsageError("--checks modp requires --prime")
-
     try:
         report, timings = full_theorem_report(
             args.genus,

@@ -34,6 +34,8 @@ def _format_check(name, section, lines):
             f"[torsion] {status}: {section['generator_count']} generators, "
             f"order(f2*f1) = {section['f2f1_order']}"
         )
+        if "order_failures" in section:
+            lines.append(f"  order not as claimed: {', '.join(section['order_failures'])}")
         for cert in section.get("certificates", []):
             lines.append(f"  {cert['name']}: order {cert['order']}")
             action = ", ".join(

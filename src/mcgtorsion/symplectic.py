@@ -316,9 +316,6 @@ class SympMatrix(Frozen):
             raise ValueError(f"genus mismatch: {self.genus} vs {other.genus}")
         return SympMatrix._from_delta(mul_rows(self.delta, other.delta), self.genus)
 
-    def __mul__(self, other):
-        return self.__matmul__(other)
-
     def __pow__(self, k):
         if k < 0:
             return self.inv() ** (-k)

@@ -1,6 +1,7 @@
 """Replays the main generation argument at the homology level.
 
-Checks, per genus: the Luo decomposition of Ta2 Ta1^-1 into two
+Checks, per genus: the exact order of each torsion generator and of the
+handle shift f2 f1, the Luo decomposition of Ta2 Ta1^-1 into two
 involutions, the assembly of T_c1 from conjugates of Ta2 Ta1^-1 by the
 order-3 element, the single-orbit property of the Lickorish classes under
 the torsion group, and finite certificates that the generator images span
@@ -325,10 +326,11 @@ def full_theorem_report(g, prime=None, with_witnesses=False, checks=None):
 
     checks is a subset of {"relations", "torsion", "theorem", "modp"};
     None means every applicable check (modp only when a prime is given).
-    Raises ValueError before any check runs when the selection needs a
-    larger genus or a prime, when a prime is given without the modp check,
-    when no mod-p certificate can decide (certificate_mode is None), or
-    when with_witnesses is set and no exact-order certificate runs.
+    Raises ValueError before any check runs when g < 2, when the selection
+    needs a larger genus or a prime, when a prime is given without the
+    modp check, when no mod-p certificate can decide (certificate_mode is
+    None), or when with_witnesses is set and no exact-order certificate
+    runs.
     """
     import time
 
@@ -378,16 +380,21 @@ def full_theorem_report(g, prime=None, with_witnesses=False, checks=None):
     if "torsion" in checks:
         certs = theorem_generators(g)
         t0 = time.perf_counter()
+        order_failures = [c.name for c in certs
+                          if element_order(c.matrix, c.claimed_order) != c.claimed_order]
         f2f1_order = element_order(certs[1].matrix @ certs[0].matrix, g)
-        orders_ok = f2f1_order == g
-        report["checks"]["torsion"] = {
-            "passed": orders_ok,
+        ok = f2f1_order == g and not order_failures
+        section = {
+            "passed": ok,
             "generator_count": len(certs),
             "f2f1_order": f2f1_order,
             "certificates": [c.to_dict() for c in certs],
         }
+        if order_failures:
+            section["order_failures"] = order_failures
+        report["checks"]["torsion"] = section
         timings["torsion"] = time.perf_counter() - t0
-        passed &= orders_ok
+        passed &= ok
 
     if "theorem" in checks:
         t0 = time.perf_counter()

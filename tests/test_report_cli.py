@@ -256,6 +256,10 @@ def test_cli_eval_rejects_unknown_token():
     ("--genus", "3", "--output", "xml"),
     ("--genus", "4", "--checks", "theorem", "--orbit-cap", "5"),  # the flag is gone
     ("--genus", "3", "--checks", "modp", "--prime", "2", "--enum-cap", "5"),  # the flag is gone
+    # rejected by full_theorem_report or lickorish_system, not by the CLI
+    ("--genus", "1"),
+    ("--genus", "1", "--eval", "Ta1"),
+    ("--genus", "3", "--checks", "modp"),
 ])
 def test_cli_parser_errors_are_one_line(args):
     proc = _run_cli(*args)
@@ -266,7 +270,8 @@ def test_cli_parser_errors_are_one_line(args):
 
 
 def _readme_command_line_options():
-    text = open(os.path.join(PKG_ROOT, "README.md")).read()
+    with open(os.path.join(PKG_ROOT, "README.md")) as fh:
+        text = fh.read()
     section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
 
@@ -312,6 +317,22 @@ def test_exit_status_reflects_verdicts(monkeypatch, capsys):
     assert "4 of 11 curves reached" in text
     assert "missing: b1, b2, b3, b4, c1, c2, c3" in text
     assert "RESULT: FAIL" in text
+
+
+def test_f2f1_order_failure_fails_the_torsion_verdict(monkeypatch, capsys):
+    # with f2 replaced by f1 every claimed order holds, but f2 f1 = I has order 1
+    certs = theorem.theorem_generators(4)
+    f2 = TorsionCertificate("f2", certs[0].matrix, 2, certs[1].curve_action, certs[1].notes)
+    monkeypatch.setattr(theorem, "theorem_generators", lambda g: (certs[0], f2) + certs[2:])
+    assert cli.main(["--genus", "4", "--checks", "torsion", "--output", "structured"]) == 1
+    section = json.loads(capsys.readouterr().out)["report"]["checks"]["torsion"]
+    assert section["passed"] is False
+    assert section["f2f1_order"] == 1
+    assert "order_failures" not in section
+    assert cli.main(["--genus", "4", "--checks", "torsion"]) == 1
+    text = capsys.readouterr().out
+    assert "[torsion] FAIL: 4 generators, order(f2*f1) = 1" in text
+    assert "order not as claimed" not in text
 
 
 def test_failed_identity_prints_words_and_matrices():

@@ -2,7 +2,9 @@
 
 The report is parsed with `json` alone, and every check below uses plain
 dense integer lists: no SympMatrix and no mcgtorsion arithmetic.  This
-cross-checks the sparse I + delta engine on the exact artifacts it emits.
+cross-checks the sparse I + delta engine on the exact artifacts it emits,
+and it is the only re-check of the stated curve actions, which the engine
+finds once, by matching images against the named classes.
 """
 
 import copy
@@ -103,3 +105,8 @@ def test_recheck_negative_control_flipped_entry(g, capsys):
         matrix = tampered["checks"]["torsion"]["certificates"][index]["matrix"]
         matrix[0][0] += 1
         assert _problems(tampered), f"a flipped entry in certificate {index} went unseen"
+        tampered = copy.deepcopy(report)
+        cert = tampered["checks"]["torsion"]["certificates"][index]
+        u, (v, sign) = sorted(cert["curve_action"].items())[0]
+        cert["curve_action"][u] = [v, -sign]
+        assert _problems(tampered) == [f"{cert['name']}: does not send {u} to {-sign:+d} {v}"]

@@ -1,4 +1,5 @@
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -339,6 +340,55 @@ def test_each_identity_runs_once(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["report"]["passed"]
     assert calls == {"luo_decomposition": 1, "lantern_assembly": 1,
                      "product_sides": 1, "rewritten_sides": 1}
+
+
+@pytest.mark.parametrize("args, orders", [
+    (("--genus", "3"), 6),  # five certificates and f2 f1
+    (("--genus", "4"), 5),  # four certificates and f2 f1
+    (("--genus", "3", "--checks", "modp", "--prime", "2"), 0),
+    (("--genus", "4", "--checks", "theorem"), 0),
+])
+def test_each_order_is_computed_once(monkeypatch, capsys, args, orders):
+    # generator orders are decided by the torsion verdict alone, not at build time
+    calls = Counter()
+    real = sys.modules["mcgtorsion.symplectic"].element_order
+
+    def counted(m, bound):
+        calls["element_order"] += 1
+        return real(m, bound)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mcgtorsion") and hasattr(module, "element_order"):
+            monkeypatch.setattr(module, "element_order", counted)
+    _clear_builders()
+    assert cli.main([*args, "--output", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["passed"]
+    assert calls["element_order"] == orders
+
+
+@pytest.mark.parametrize("g, status", [(4, 1), (3, 0)])
+def test_wrong_handle_block_order_fails_the_torsion_verdict(monkeypatch, capsys, g, status):
+    # a symplectic order-6 block that still sends a4 to b4 passes every build
+    # check, so only the order verdict sees it; at genus 3 the local f3 has
+    # no handle blocks, so the run passes
+    monkeypatch.setattr(torsion, "ORDER3_BLOCK", ((0, -1), (1, 1)))
+    _clear_builders()
+    try:
+        assert cli.main(["--genus", str(g), "--output", "structured"]) == status
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert cli.main(["--genus", str(g)]) == status
+        text = capsys.readouterr().out
+    finally:
+        monkeypatch.undo()
+        _clear_builders()
+    checks = report["checks"]
+    assert checks["relations"]["passed"] and checks["theorem"]["passed"]
+    if status:
+        assert checks["torsion"]["passed"] is False
+        assert checks["torsion"]["order_failures"] == ["f3"]
+        assert "  order not as claimed: f3" in text
+    else:
+        assert checks["torsion"]["passed"] and "order_failures" not in checks["torsion"]
 
 
 def test_wrong_lantern_class_fails_the_verdict(monkeypatch, capsys):

@@ -2,7 +2,7 @@ import pytest
 
 from mcgtorsion.curves import lickorish_system
 from mcgtorsion.symplectic import alpha, beta, element_order, identity, zero_class
-from mcgtorsion import torsion
+from mcgtorsion import theorem, torsion
 from mcgtorsion.torsion import (
     LANTERN_ROTATION_BLOCK,
     TorsionCertificate,
@@ -133,11 +133,10 @@ def test_sigma_fixes_first_two_handles():
 
 
 def test_certificates_verify_and_are_deterministic():
+    # orders are decided by the torsion verdict and curve actions re-checked
+    # from the emitted report (test_report_recheck); a build is deterministic
     for g in (3, 4, 6):
         certs1 = theorem_generators(g)
-        classes = named_classes(g)
-        for cert in certs1:
-            cert.verify(classes)
         # a fresh build, past the per-genus cache
         certs2 = theorem_generators.__wrapped__(g)
         assert certs2 is not certs1
@@ -151,19 +150,19 @@ def _altered(cert, **fields):
 
 
 @pytest.mark.parametrize("g", (3, 4))
-def test_verify_rejects_false_certificates(g):
-    classes = named_classes(g)
-    f1, f3 = build_f1(g), theorem_generators(g)[3]
-    assert f3.name == "f3"
-    u, (v, sign) = sorted(f1.curve_action.items())[0]
-    false_certs = [
-        (_altered(f1, claimed_order=4), "order"),  # f1 has order 2
-        (_altered(f3, claimed_order=2), "order"),  # f3 has order 3
-        (_altered(f1, curve_action=dict(f1.curve_action, **{u: (v, -sign)})), "action"),
-    ]
-    for cert, match in false_certs:
-        with pytest.raises(AssertionError, match=match):
-            cert.verify(classes)
+def test_verify_rejects_false_certificates(monkeypatch, g):
+    # a false claimed order fails the torsion verdict, which names the generator
+    certs = theorem_generators(g)
+    assert [certs[0].name, certs[3].name] == ["f1", "f3"]
+    for index, false_order in ((0, 4), (3, 2)):  # f1 has order 2, f3 order 3
+        altered = list(certs)
+        altered[index] = _altered(certs[index], claimed_order=false_order)
+        monkeypatch.setattr(theorem, "theorem_generators", lambda _g: tuple(altered))
+        report, _ = theorem.full_theorem_report(g, checks={"torsion"})
+        section = report["checks"]["torsion"]
+        assert report["passed"] is section["passed"] is False
+        assert section["order_failures"] == [certs[index].name]
+        assert section["f2f1_order"] == g
 
 
 def test_generator_counts_match_theorem():
@@ -228,7 +227,7 @@ def _rotations(g, s1, s2):
 
 @pytest.mark.parametrize("g", (3, 4, 5, 8))
 def test_pi_rotation_signs_are_pinned_by_the_fixed_handle_check(g):
-    # with both signs +1 the five other checks pass; f1 fixes handle 1 with +I
+    # with both signs +1 f2 f1 is still the handle shift; f1 fixes handle 1 with +I
     with pytest.raises(RuntimeError) as err:
         _check_pi_rotations(g, *_rotations(g, 1, 1))
     assert str(err.value).endswith("['-I on fixed handles']")
@@ -245,9 +244,12 @@ def test_pi_rotation_negative_controls(g, s1, s2):
 
 @pytest.mark.parametrize("g", (3, 5, 7))
 def test_mixed_pi_rotation_signs_fail_at_odd_genus(g):
-    # f2 f1 is then -shift, whose order is 2g at odd g
-    with pytest.raises(RuntimeError, match="product order g"):
-        _check_pi_rotations(g, *_rotations(g, -1, 1))
+    # f2 fixes handle (g+3)/2 with +I; and f2 f1 is then -shift, whose order
+    # is 2g at odd g, so the torsion verdict's order(f2 f1) = g would fail too
+    f1, f2 = _rotations(g, -1, 1)
+    with pytest.raises(RuntimeError, match="-I on fixed handles"):
+        _check_pi_rotations(g, f1, f2)
+    assert element_order(f2 @ f1, g) is None
 
 
 def test_f2_sign_is_a_convention_at_even_genus():
