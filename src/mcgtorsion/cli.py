@@ -13,7 +13,6 @@ import stat
 import sys
 
 from . import report as report_mod
-from .symplectic import SMALL_PRIMES
 from .theorem import full_theorem_report
 
 CHECK_NAMES = ("relations", "torsion", "theorem", "modp")
@@ -133,9 +132,6 @@ def _write_out(path, text):
 
 
 def run(args):
-    if args.prime is not None and args.prime not in SMALL_PRIMES:
-        raise UsageError(f"prime must be one of {SMALL_PRIMES}, got {args.prime}")
-
     if args.eval_word is not None:
         report_flags = {"--checks": args.checks is not None, "--prime": args.prime is not None,
                         "--witness": args.witness, "--output structured": args.output == "structured",

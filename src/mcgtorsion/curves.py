@@ -62,11 +62,12 @@ class NamedCurve(Frozen):
 class IntersectionTable:
     """Declared geometric intersection numbers on unordered name pairs.
 
-    Pairs not present are declared disjoint (value 0).
+    numbers maps each declared pair, its names in sorted order, to its
+    number; pairs not present are declared disjoint (value 0).
     """
 
     def __init__(self, entries=None):
-        self._data = {}
+        self.numbers = {}
         for (u, v), k in (entries or {}).items():
             self.set(u, v, k)
 
@@ -77,10 +78,10 @@ class IntersectionTable:
     def set(self, u, v, k):
         if k < 0:
             raise ValueError("intersection numbers are non-negative")
-        self._data[self._key(u, v)] = int(k)
+        self.numbers[self._key(u, v)] = int(k)
 
     def get(self, u, v):
-        return self._data.get(self._key(u, v), 0)
+        return self.numbers.get(self._key(u, v), 0)
 
 
 def intersections_consistent(curves, table):

@@ -25,11 +25,11 @@ of the package's import time.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import lru_cache
 from math import gcd
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+_NOT_SYMPLECTIC = "matrix does not preserve the symplectic form"
 
 
 def _as_int_tuple(seq):
@@ -127,12 +127,15 @@ def beta(i, g):
 # canonical, and a row absent from it is e_i by definition.  A product
 # computes only the moved rows of its left factor, reading rows of the right
 # factor by index, and keeps the right factor's moved rows that the left
-# leaves alone; the symplectic check visits only the row pairs Delta
-# touches.  So a product or check of twist-like matrices costs O(nnz), not
-# O(n^2), and every step is still exact integer arithmetic.  The rows of a
-# Delta are never mutated once built, so products may share them.  The two
-# kernels keep their row-era names because perfbench/tracer.py wraps
-# mul_rows and is_symplectic_rows by name.
+# leaves alone.  The symplectic check walks the moved rows once and visits
+# each row pair (k, k+g) that Delta touches once: from row k when it moved,
+# else from row k+g, with the unmoved partner read as e_k or e_{k+g}; it
+# sums into a plain dict keyed by i*2g + j.  So a product or check of
+# twist-like matrices costs O(nnz), not O(n^2), and every step is still
+# exact integer arithmetic.  The rows of a Delta are never mutated once
+# built, so products may share them.  The two kernels keep their row-era
+# names, and the code calls them as module globals, because
+# perfbench/tracer.py wraps mul_rows and is_symplectic_rows by name.
 
 @lru_cache(maxsize=None)
 def identity_rows(n):
@@ -211,24 +214,32 @@ def is_symplectic_rows(delta, g):
     delta is e_i by definition, so the pairs with neither row in delta add
     nothing and are skipped exactly.  The other pairs are summed into the
     antisymmetric part of P - U, kept as a dict over i < j of entry (i, j)
-    minus entry (j, i); M is symplectic iff every value is zero.  The check
-    always runs on the given delta: nothing is cached, sampled or reduced
-    mod p.
+    minus entry (j, i), keyed by i * 2g + j; M is symplectic iff every value
+    is zero.  Each such pair is reached once, from its alpha-row k when that
+    row moved and from its beta-row k + g otherwise.  The check always runs
+    on the given delta: nothing is cached, sampled or reduced mod p.
     """
-    d = defaultdict(int)
-    for k in {i % g for i in delta}:
-        top, bottom = delta.get(k), delta.get(k + g)
-        if top is None:
-            top = {k: 1}
-        if bottom is None:
-            bottom = {k + g: 1}
-        d[k, g + k] -= 1
-        for i, x in top.items():
-            for j, y in bottom.items():
-                if i < j:
-                    d[i, j] += x * y
-                elif i > j:
-                    d[j, i] -= x * y
+    n = 2 * g
+    d = {}
+    for i, row in delta.items():
+        if i < g:
+            k, top, bottom = i, row, delta.get(i + g)
+            if bottom is None:
+                bottom = {i + g: 1}
+        elif i - g in delta:
+            continue
+        else:
+            k, top, bottom = i - g, {i - g: 1}, row
+        key = k * n + k + g
+        d[key] = d.get(key, 0) - 1
+        for a, x in top.items():
+            for b, y in bottom.items():
+                if a < b:
+                    key = a * n + b
+                    d[key] = d.get(key, 0) + x * y
+                elif a > b:
+                    key = b * n + a
+                    d[key] = d.get(key, 0) - x * y
     return not any(d.values())
 
 
@@ -266,25 +277,27 @@ class SympMatrix(Frozen):
         g = n // 2
         if genus is not None and genus != g:
             raise ValueError(f"genus mismatch: matrix is {n}x{n} but genus={genus}")
-        self._store(_delta(rows), g)
+        delta = _delta(rows)
+        if not is_symplectic_rows(delta, g):
+            raise ValueError(_NOT_SYMPLECTIC)
+        self._set_fields(delta=delta, genus=g, _hash=None, _rows=None)
 
     @classmethod
     def _from_delta(cls, delta, g):
         """Matrix on a canonical delta of int entries built by this module.
 
-        Coercion and the shape test are skipped; the symplectic check still runs.
+        Coercion and the shape test are skipped; the symplectic check still
+        runs.  The slots are filled through their bound setters, since every
+        product, inverse and twist is made here.
         """
-        m = cls.__new__(cls)
-        m._store(delta, g)
-        return m
-
-    def _store(self, delta, g):
         if not is_symplectic_rows(delta, g):
-            raise ValueError("matrix does not preserve the symplectic form")
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "genus", g)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_rows", None)
+            raise ValueError(_NOT_SYMPLECTIC)
+        m = cls.__new__(cls)
+        _set_delta(m, delta)
+        _set_genus(m, g)
+        _set_hash(m, None)
+        _set_rows(m, None)
+        return m
 
     @property
     def dim(self):
@@ -378,6 +391,12 @@ class SympMatrix(Frozen):
 
     def __repr__(self):
         return f"SympMatrix(genus={self.genus}, rows={self.rows})"
+
+
+# The slot descriptors' setters, which write past Frozen.__setattr__ without
+# the name lookup of object.__setattr__.
+_set_delta, _set_genus, _set_hash, _set_rows = (
+    vars(SympMatrix)[name].__set__ for name in SympMatrix.__slots__)
 
 
 def identity(g):

@@ -31,6 +31,7 @@ from __future__ import annotations
 from .chain import StabilizerChain
 from .curves import lickorish_system
 from .symplectic import (
+    SMALL_PRIMES,
     Frozen,
     alpha,
     element_order,
@@ -95,20 +96,27 @@ def property1_orbit_check(g):
     Each word of lickorish_words is applied to a_1 with the generator
     matrices and its endpoint compared with the curve's class up to sign;
     a curve whose word lands elsewhere is missing and the check fails.
-    Returns the verdict and the OrbitSet of endpoints, whose depth is the
-    longest word.
+    The words share long prefixes (powers of the handle shift), so they are
+    replayed through a trie of prefixes: each node holds the image of a_1
+    under its prefix, and each distinct prefix is applied once, fewer than
+    6g products in all.  Returns the verdict and the OrbitSet of endpoints,
+    whose depth is the longest word.
     """
     certs = theorem_generators(g)
     names = [c.name for c in certs]
     by_name = {c.name: c.matrix for c in certs}
     words = lickorish_words(g, names)
+    root = (alpha(1, g), {})
     reached = set()
     witnesses = {}
     missing = []
     for u in lickorish_system(g).curves:
-        v = alpha(1, g)
+        v, children = root
         for name in words[u.name]:
-            v = by_name[name].apply(v)
+            node = children.get(name)
+            if node is None:
+                node = children[name] = (by_name[name].apply(v), {})
+            v, children = node
         end = v.canonical().coords
         reached.add(end)
         if end == u.cls.canonical().coords:
@@ -157,9 +165,12 @@ def certificate_mode(g, p):
 def _require_certificate(g, p, with_witnesses):
     """The certificate mode at (g, p), where p is None when no mod-p check runs.
 
-    Raises ValueError when no mode can decide, or when membership witnesses
-    are asked for and no exact-order certificate runs.
+    Raises ValueError when p is not one of SMALL_PRIMES, when no mode can
+    decide, or when membership witnesses are asked for and no exact-order
+    certificate runs.
     """
+    if p is not None and p not in SMALL_PRIMES:
+        raise ValueError(f"prime must be one of {SMALL_PRIMES}, got {p}")
     mode = None if p is None else certificate_mode(g, p)
     if p is not None and mode is None:
         raise ValueError(

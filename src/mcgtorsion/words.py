@@ -70,8 +70,11 @@ class Verdict(Frozen):
     """Outcome of one relation check."""
 
     def __init__(self, check, status, details=None):
-        # status: "pass" | "fail"
-        self._set_fields(check=check, status=status, details={} if details is None else details)
+        # status: "pass" | "fail"; written to __dict__, past Frozen.__setattr__
+        fields = self.__dict__
+        fields["check"] = check
+        fields["status"] = status
+        fields["details"] = {} if details is None else details
 
     @property
     def passed(self):
@@ -168,12 +171,12 @@ def check_lantern(g):
 def relation_suite(g):
     """Every instantiated relation check for one genus, in a fixed order."""
     system = lickorish_system(g)
-    table = system.table
+    numbers = system.table.numbers
     verdicts = []
     curves = system.curves
     for i, u in enumerate(curves):
         for v in curves[i + 1 :]:
-            k = table.get(u.name, v.name)
+            k = numbers.get((u.name, v.name) if u.name <= v.name else (v.name, u.name), 0)
             if k == 0:
                 verdicts.append(check_commuting(u, v))
             elif k == 1:

@@ -207,6 +207,19 @@ def test_cli_rejects_uncertifiable_prime_before_any_check(args):
     assert elapsed < 1.5, f"rejection took {elapsed:.2f}s"
 
 
+@pytest.mark.parametrize("p", (0, 1, 4, -2))
+def test_prime_outside_small_primes_is_rejected_in_one_place(p):
+    # full_theorem_report and the CLI give the same message, from one check
+    message = f"prime must be one of (2, 3, 5, 7, 11, 13), got {p}"
+    with pytest.raises(ValueError) as exc:
+        full_theorem_report(3, prime=p)
+    assert str(exc.value) == message
+    proc = _run_cli("--genus", "3", "--prime", str(p))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("args", [
     ("--genus", "4", "--prime", "2"),  # transitivity: |Sp(8,2)| is above the bound
     ("--genus", "3", "--prime", "3"),  # transitivity: |Sp(6,3)| is above the bound

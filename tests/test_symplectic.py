@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import ident, mm, mpow, order_oracle, symplectic_form, tv
+from conftest import ident, mm, mpow, order_oracle, symplectic_form, symplectic_oracle, tv
 from mcgtorsion.symplectic import (
     HomologyClass,
     SympMatrix,
@@ -10,6 +10,7 @@ from mcgtorsion.symplectic import (
     beta,
     element_order,
     identity,
+    is_symplectic_rows,
     pack_columns,
     reduce_mod_p,
     transvection,
@@ -116,6 +117,43 @@ def test_non_symplectic_rejected():
         SympMatrix(((1, 1), (1, 1)))
     with pytest.raises(ValueError):
         SympMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def _dense_rows(delta, g):
+    rows = ident(2 * g)
+    for i, entries in delta.items():
+        rows[i] = [entries.get(j, 0) for j in range(2 * g)]
+    return rows
+
+
+def _edge_deltas(g):
+    """(name, delta, symplectic?) for the row layouts the pair walk must get right."""
+    ta1, tb1 = transvection(alpha(1, g)).delta, transvection(beta(1, g)).delta
+    product = (transvection(alpha(1, g)) @ transvection(beta(1, g))).delta
+    assert sorted(product) == [0, g]
+    wrong = {i: dict(row) for i, row in product.items()}
+    wrong[g][0] += 1
+    return [
+        ("empty alpha-row", {0: {}}, False),
+        ("empty beta-row", {g: {}}, False),
+        ("only the beta-row moved (T_b1)", {g: {0: 1, g: 1}}, True),
+        ("T_b1 as built", tb1, True),
+        ("only the alpha-row moved (T_a1)", ta1, True),
+        ("beta-row listed first", {g: product[g], 0: product[0]}, True),
+        ("alpha-row listed first", {0: product[0], g: product[g]}, True),
+        ("one wrong entry", wrong, False),
+        ("one wrong entry, beta-row first", {g: wrong[g], 0: wrong[0]}, False),
+    ]
+
+
+@pytest.mark.parametrize("g", (1, 2, 3))
+def test_symplectic_check_edge_cases_match_column_oracle(g):
+    for name, delta, expected in _edge_deltas(g):
+        assert symplectic_oracle(_dense_rows(delta, g), g) is expected, name
+        assert is_symplectic_rows(delta, g) is expected, name
+        if not expected:
+            with pytest.raises(ValueError):
+                SympMatrix(_dense_rows(delta, g))
 
 
 def test_determinant_small_genus():

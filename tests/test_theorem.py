@@ -8,7 +8,7 @@ from conftest import orbit_closure
 from mcgtorsion.curves import lickorish_system
 from mcgtorsion.kernels import modp_closure
 from mcgtorsion import cli, curves, theorem, torsion
-from mcgtorsion.symplectic import alpha, identity, reduce_mod_p, transvection
+from mcgtorsion.symplectic import SympMatrix, alpha, identity, reduce_mod_p, transvection
 from mcgtorsion.theorem import (
     certificate_mode,
     full_theorem_report,
@@ -89,6 +89,38 @@ def _endpoint_and_matrix(g, word):
         v = by_name[name].apply(v)
         w = by_name[name] @ w
     return v, w
+
+
+@pytest.mark.parametrize("g", (*range(3, 17), 32))
+def test_prefix_shared_replay_matches_letter_by_letter(g):
+    # the trie replay gives every curve the endpoint and word of a plain replay
+    words = lickorish_words(g, [c.name for c in theorem_generators(g)])
+    verdict, orbit = property1_orbit_check(g)
+    ends = set()
+    for u in lickorish_system(g).curves:
+        end = _endpoint_and_matrix(g, words[u.name])[0].canonical().coords
+        assert end == u.cls.canonical().coords, u.name
+        assert verdict.details["witnesses"][u.name] == list(words[u.name])
+        ends.add(end)
+    assert orbit.classes == ends
+    assert verdict.details["missing"] == []
+
+
+@pytest.mark.parametrize("g", (16, 32))
+def test_orbit_check_applies_each_prefix_once(monkeypatch, g):
+    theorem_generators(g)
+    lickorish_system(g)
+    calls = []
+    real_apply = SympMatrix.apply
+
+    def counting_apply(self, x):
+        calls.append(x)
+        return real_apply(self, x)
+
+    monkeypatch.setattr(SympMatrix, "apply", counting_apply)
+    verdict, _ = property1_orbit_check(g)
+    assert verdict.passed
+    assert 0 < len(calls) < 6 * g
 
 
 @pytest.mark.parametrize("g", range(3, 7))
