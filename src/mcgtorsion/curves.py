@@ -14,12 +14,14 @@ so each class below is a stated convention, not a search result:
   classes alpha_k and -alpha_k.
 
 As they are built, the classes are checked, and a failed check raises,
-only for what no verdict reports: the declared intersection numbers,
-equivariance under the handle shift and the null-homologous lantern
-boundary.  The identities these classes must satisfy are checked once, by
-the verdicts that report them: the chain relations (the 3-chain one is
-(T_a1 T_b1 T_c1)^4 = T_a2^2) by words.check_chain and both lantern forms
-by words.check_lantern, each failing with both sides of the relation.
+only for what no verdict reports: equivariance under the handle shift and
+the null-homologous lantern boundary.  The identities these classes must
+satisfy are checked once, by the verdicts that report them: the declared
+intersections (LickorishSystem.meeting) by words.relation_suite's commute
+and braid verdicts, decided by the symplectic pairing, the chain
+relations (the 3-chain one is (T_a1 T_b1 T_c1)^4 = T_a2^2) by
+words.check_chain and both lantern forms by words.check_lantern, each
+failing with both sides of the relation.
 Other signs can pass every check (on the alpha-span the twists commute, so
 y and z may be swapped or negated), which is why the choice is recorded in
 every report and pinned by the golden report digests.
@@ -58,52 +60,10 @@ class NamedCurve(Frozen):
         """The transvection of the class, built once per curve."""
         return transvection(self.cls)
 
-
-class IntersectionTable:
-    """Declared geometric intersection numbers on unordered name pairs.
-
-    numbers maps each declared pair, its names in sorted order, to its
-    number; pairs not present are declared disjoint (value 0).
-    """
-
-    def __init__(self, entries=None):
-        self.numbers = {}
-        for (u, v), k in (entries or {}).items():
-            self.set(u, v, k)
-
-    @staticmethod
-    def _key(u, v):
-        return (u, v) if u <= v else (v, u)
-
-    def set(self, u, v, k):
-        if k < 0:
-            raise ValueError("intersection numbers are non-negative")
-        self.numbers[self._key(u, v)] = int(k)
-
-    def get(self, u, v):
-        return self.numbers.get(self._key(u, v), 0)
-
-
-def intersections_consistent(curves, table):
-    """|algebraic pairing| <= geometric number, equal when the latter is 0 or 1.
-
-    <x, y> = x . (J y) is summed over the nonzero coordinates of x only:
-    every Lickorish class has at most two.
-    """
-    support = [[(i, x) for i, x in enumerate(u.cls.coords) if x] for u in curves]
-    jy = []
-    for u in curves:
-        c, g = u.cls.coords, u.cls.genus
-        jy.append(c[g:] + tuple(-x for x in c[:g]))
-    for i, u in enumerate(curves):
-        for t, v in enumerate(curves[i + 1 :], start=i + 1):
-            f = abs(sum(x * jy[t][k] for k, x in support[i]))
-            k = table.get(u.name, v.name)
-            if f > k:
-                return False
-            if k <= 1 and f != k:
-                return False
-    return True
+    @cached_property
+    def support(self):
+        """The (index, value) pairs of the nonzero coordinates of the class."""
+        return tuple((i, x) for i, x in enumerate(self.cls.coords) if x)
 
 
 def shift_coords(coords, g):
@@ -113,9 +73,10 @@ def shift_coords(coords, g):
 
 
 class LickorishSystem(Frozen):
-    def __init__(self, genus, curves, table, c_signs):
-        # c_signs: ((eps_i, eps'_i)) for c_1..c_{g-1}
-        self._set_fields(genus=genus, curves=curves, table=table, c_signs=c_signs)
+    def __init__(self, genus, curves, meeting, c_signs):
+        # meeting: the sorted name pairs of curves that meet once; every other
+        # pair is disjoint.  c_signs: ((eps_i, eps'_i)) for c_1..c_{g-1}
+        self._set_fields(genus=genus, curves=curves, meeting=meeting, c_signs=c_signs)
 
     def curve(self, name):
         for u in self.curves:
@@ -127,21 +88,19 @@ class LickorishSystem(Frozen):
         return self.curve(name).cls
 
 
-def _lickorish_table(g):
-    t = IntersectionTable()
-    for i in range(1, g + 1):
-        t.set(f"a{i}", f"b{i}", 1)
+def _lickorish_meeting(g):
+    pairs = [(f"a{i}", f"b{i}") for i in range(1, g + 1)]
     for i in range(1, g):
-        t.set(f"b{i}", f"c{i}", 1)
-        t.set(f"c{i}", f"b{i + 1}", 1)
-    return t
+        pairs += [(f"b{i}", f"c{i}"), (f"b{i + 1}", f"c{i}")]
+    return frozenset(pairs)
 
 
 def _checked_system(g, c_signs):
     """The curves with [c_i] = e alpha_i + e' alpha_{i+1} for (e, e') = c_signs[i-1].
 
-    Raises unless the classes fit the ring-of-handles picture: the declared
-    intersection numbers and the handle shift carrying [c_i] to +/-[c_{i+1}].
+    Raises unless the handle shift carries [c_i] to +/-[c_{i+1}].  Whether
+    the classes fit the declared intersections is words.relation_suite's
+    commute and braid verdicts.
     """
     curves = [NamedCurve(f"a{i}", alpha(i, g)) for i in range(1, g + 1)]
     curves += [NamedCurve(f"b{i}", beta(i, g)) for i in range(1, g + 1)]
@@ -150,10 +109,7 @@ def _checked_system(g, c_signs):
         coords[i - 1] = e
         coords[i] = e2
         curves.append(NamedCurve(f"c{i}", HomologyClass(coords, g)))
-    table = _lickorish_table(g)
-    system = LickorishSystem(g, tuple(curves), table, c_signs)
-    if not intersections_consistent(system.curves, table):
-        raise RuntimeError(f"curve classes contradict the intersection table at genus {g}")
+    system = LickorishSystem(g, tuple(curves), _lickorish_meeting(g), c_signs)
     for i in range(1, g - 1):
         shifted = shift_coords(system.cls(f"c{i}").coords, g)
         nxt = system.cls(f"c{i + 1}").coords

@@ -3,11 +3,17 @@
 Composition is functional: in a word the rightmost factor is applied first,
 which matches plain left-to-right matrix multiplication of the assigned
 matrices.  Words are stored as (symbol, exponent) pairs.
+
+The commutation and braid relations of twists are decided by the
+symplectic pairing of the two classes, with no product; the chain and
+lantern relations by their products.
 """
 
 from __future__ import annotations
 
 import re
+from functools import reduce
+from operator import matmul
 
 from .curves import (
     chain_configuration,
@@ -100,22 +106,31 @@ def _equality(name, word_lhs, word_rhs, lhs, rhs):
     return Verdict(name, "fail", _fail_details(word_lhs, word_rhs, lhs, rhs))
 
 
-def check_commuting(u, v):
-    """T_u T_v = T_v T_u, which holds for disjoint curves."""
-    return _equality(
-        f"commute({u.name},{v.name})",
-        f"T{u.name} T{v.name}", f"T{v.name} T{u.name}",
-        u.twist @ v.twist, v.twist @ u.twist,
-    )
+def pairing(u, v):
+    """<u, v> = u^T J v of two curves' classes, summed over the nonzero coordinates of u."""
+    g = u.cls.genus
+    c = v.cls.coords
+    return sum(x * c[i + g] if i < g else -x * c[i - g] for i, x in u.support)
 
 
-def check_braid(u, v):
-    """T_u T_v T_u = T_v T_u T_v, which holds for curves meeting once."""
-    return _equality(
-        f"braid({u.name},{v.name})",
-        f"T{u.name} T{v.name} T{u.name}", f"T{v.name} T{u.name} T{v.name}",
-        u.twist @ v.twist @ u.twist, v.twist @ u.twist @ v.twist,
-    )
+def _pair_verdict(u, v, meet):
+    """braid(u,v) for curves that meet once, else commute(u,v), decided by <u, v>.
+
+    T_u T_v - T_v T_u = <v, u>(<., v> u + <., u> v), so the twists commute
+    exactly when <u, v> = 0; for independent classes the braid relation
+    holds exactly when |<u, v>| = 1, and |<u, v>| = 1 makes them independent.
+    When the pairing does not fit, the verdict fails with both sides as words
+    and matrices, even where the products agree (parallel classes declared
+    to meet).
+    """
+    relation, lhs = ("braid", (u, v, u)) if meet else ("commute", (u, v))
+    name = f"{relation}({u.name},{v.name})"
+    if abs(pairing(u, v)) == (1 if meet else 0):
+        return Verdict(name, "pass")
+    rhs = tuple(v if c is u else u for c in lhs)
+    words = (" ".join(f"T{c.name}" for c in side) for side in (lhs, rhs))
+    matrices = (reduce(matmul, (c.twist for c in side)) for side in (lhs, rhs))
+    return Verdict(name, "fail", _fail_details(*words, *matrices))
 
 
 def check_chain(t, g):
@@ -146,17 +161,17 @@ def check_chain(t, g):
 def check_lantern(g):
     """Both lantern forms, plus the commutations of y and z with the boundary.
 
-    The other disjoint pairs of the lantern are Lickorish curves, whose
-    commutations relation_suite checks as commute(...) verdicts.  Raises
-    ValueError below genus 3.
+    The commutations are decided by the pairing, as in relation_suite, which
+    checks the other disjoint pairs of the lantern, all Lickorish curves, as
+    commute(...) verdicts.  Raises ValueError below genus 3.
     """
     config = lantern_configuration(g)
     lhs, rhs = config.product_sides()
     product_ok = lhs == rhs
     lhs2, rhs2 = config.rewritten_sides()
     rewritten_ok = lhs2 == rhs2
-    twist = config.twist
-    commute_ok = all(twist(r) @ twist(s) == twist(s) @ twist(r) for r in "abcd" for s in "yz")
+    roles = config.roles
+    commute_ok = all(pairing(roles[r], roles[s]) == 0 for r in "abcd" for s in "yz")
     ok = product_ok and rewritten_ok and commute_ok
     details = {
         "product_form": product_ok,
@@ -171,16 +186,13 @@ def check_lantern(g):
 def relation_suite(g):
     """Every instantiated relation check for one genus, in a fixed order."""
     system = lickorish_system(g)
-    numbers = system.table.numbers
+    meeting = system.meeting
     verdicts = []
     curves = system.curves
     for i, u in enumerate(curves):
         for v in curves[i + 1 :]:
-            k = numbers.get((u.name, v.name) if u.name <= v.name else (v.name, u.name), 0)
-            if k == 0:
-                verdicts.append(check_commuting(u, v))
-            elif k == 1:
-                verdicts.append(check_braid(u, v))
+            pair = (u.name, v.name) if u.name <= v.name else (v.name, u.name)
+            verdicts.append(_pair_verdict(u, v, pair in meeting))
     verdicts += [check_chain(t, g) for t in (2, 3, 4)]
     if g >= 3:
         verdicts.append(check_lantern(g))

@@ -4,7 +4,8 @@ These helpers recompute matrix facts with plain list arithmetic so that
 expected values asserted in the tests do not depend on the code paths
 under test.  The reference implementations the engine is compared against
 live here too, since no verdict reads them: the symplectic form, the
-conjugacy identity, the orbit BFS and the report's byte-stable portion.
+commutation and braid relations by twist products, the conjugacy identity,
+the orbit BFS and the report's byte-stable portion.
 """
 
 import json
@@ -15,6 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mcgtorsion.symplectic import HomologyClass, transvection  # noqa: E402
 from mcgtorsion.theorem import OrbitSet  # noqa: E402
+from mcgtorsion.words import _equality  # noqa: E402
 
 
 def mm(a, b):
@@ -87,6 +89,24 @@ def symplectic_form(x, y):
     g = x.genus
     a, b = x.coords, y.coords
     return sum(a[i] * b[g + i] - a[g + i] * b[i] for i in range(g))
+
+
+def check_commuting(u, v):
+    """T_u T_v = T_v T_u by the products; the oracle for commute(...) verdicts."""
+    return _equality(
+        f"commute({u.name},{v.name})",
+        f"T{u.name} T{v.name}", f"T{v.name} T{u.name}",
+        u.twist @ v.twist, v.twist @ u.twist,
+    )
+
+
+def check_braid(u, v):
+    """T_u T_v T_u = T_v T_u T_v by the products; the oracle for braid(...) verdicts."""
+    return _equality(
+        f"braid({u.name},{v.name})",
+        f"T{u.name} T{v.name} T{u.name}", f"T{v.name} T{u.name} T{v.name}",
+        u.twist @ v.twist @ u.twist, v.twist @ u.twist @ v.twist,
+    )
 
 
 def check_conjugacy(f, c):

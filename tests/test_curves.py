@@ -1,12 +1,9 @@
-import random
-
 import pytest
 
 from conftest import ident, mm, mpow, symplectic_form, tv
 from mcgtorsion import curves as curves_mod
 from mcgtorsion import symplectic, words
 from mcgtorsion.curves import (
-    IntersectionTable,
     LanternConfig,
     NamedCurve,
     _check_lantern,
@@ -14,7 +11,6 @@ from mcgtorsion.curves import (
     _pad,
     chain_configuration,
     chain_sequence,
-    intersections_consistent,
     lantern_configuration,
     lickorish_system,
 )
@@ -42,52 +38,26 @@ def test_named_curve_validation():
 
 def test_declared_intersections():
     g = 3
-    table = lickorish_system(g).table
-    assert table.get("a1", "b1") == 1
-    assert table.get("b1", "c1") == 1
-    assert table.get("c1", "b2") == 1
-    assert table.get("a1", "a2") == 0
-    assert table.get("c1", "c2") == 0
-    assert table.get("a1", "c2") == 0
+    meeting = lickorish_system(g).meeting
+    assert meeting == {("a1", "b1"), ("a2", "b2"), ("a3", "b3"),
+                       ("b1", "c1"), ("b2", "c1"), ("b2", "c2"), ("b3", "c2")}
+    assert ("a1", "a2") not in meeting
+    assert ("c1", "c2") not in meeting
+    assert ("a1", "c2") not in meeting
 
 
 def test_pairing_matches_declared_intersections():
     for g in (2, 3, 4, 6):
         system = lickorish_system(g)
         curves = system.curves
+        pairs = 0
         for i, u in enumerate(curves):
             for v in curves[i + 1 :]:
                 f = abs(symplectic_form(u.cls, v.cls))
-                k = system.table.get(u.name, v.name)
-                assert f <= k
-                if k <= 1:
-                    assert f == k
-
-
-def test_intersections_consistent_matches_dense_pairing():
-    # random primitive classes, some with both coordinates of a handle set,
-    # and tables near their true pairings, against a pairing summed densely
-    rng = random.Random(2016)
-    verdicts = []
-    for _ in range(300):
-        g = rng.randint(1, 4)
-        curves = []
-        while len(curves) < 4:
-            cls = HomologyClass(tuple(rng.choice((-1, 0, 0, 1, 2)) for _ in range(2 * g)), g)
-            if cls.is_primitive:
-                curves.append(NamedCurve(f"u{len(curves)}", cls))
-        table = IntersectionTable()
-        want = True
-        for i, u in enumerate(curves):
-            for v in curves[i + 1 :]:
-                a, b = u.cls.coords, v.cls.coords
-                f = abs(sum(a[t] * b[g + t] - a[g + t] * b[t] for t in range(g)))
-                k = max(0, f + rng.choice((0, 0, 0, 0, 1, -1)))
-                table.set(u.name, v.name, k)
-                want &= f <= k and (k > 1 or f == k)
-        verdicts.append(want)
-        assert intersections_consistent(curves, table) == want
-    assert 30 < sum(verdicts) < 270
+                assert words.pairing(u, v) == symplectic_form(u.cls, v.cls)
+                assert f == (tuple(sorted((u.name, v.name))) in system.meeting)
+                pairs += f
+        assert pairs == len(system.meeting) == 3 * g - 2
 
 
 def test_braid_hypothesis_pairs():
@@ -246,7 +216,7 @@ def test_odd_chain_boundary_classes():
 
 def test_chain_configuration_makes_no_matrix(monkeypatch):
     for g in range(2, 7):
-        lickorish_system(g)  # its build check multiplies twists
+        lickorish_system(g)  # built and cached outside the spies
     chain_configuration.cache_clear()
     made = []
 

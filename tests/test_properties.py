@@ -1,6 +1,7 @@
 """Property tests: the closure oracle against the stabilizer chain, words,
 inverses, the exact product, the matrix action and symplectic check against
-plain oracles, and the determinism of the sign solver."""
+plain oracles, the pairing decider of the commutation and braid relations
+against twist products, and the determinism of the sign solver."""
 
 from functools import lru_cache
 from unittest import mock
@@ -9,11 +10,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import ident, mm, moved_rows, symplectic_oracle, tv
+from conftest import (
+    check_braid,
+    check_commuting,
+    ident,
+    mm,
+    moved_rows,
+    symplectic_form,
+    symplectic_oracle,
+    tv,
+)
 from mcgtorsion import kernels, theorem
 from mcgtorsion.chain import StabilizerChain
 from mcgtorsion.kernels import mul_mod
-from mcgtorsion.curves import lantern_configuration, lickorish_system
+from mcgtorsion.curves import NamedCurve, lantern_configuration, lickorish_system
 from mcgtorsion.symplectic import (
     HomologyClass,
     SympMatrix,
@@ -25,7 +35,7 @@ from mcgtorsion.symplectic import (
 )
 from mcgtorsion.theorem import convention_record
 from mcgtorsion.torsion import build_f1, build_f2, theorem_generators
-from mcgtorsion.words import evaluate, format_word, parse_word, twist_assignment
+from mcgtorsion.words import _pair_verdict, evaluate, format_word, parse_word, twist_assignment
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -337,6 +347,29 @@ def test_twist_is_built_once_per_curve(data, g):
     assert u.twist is u.twist
     assert u.twist == transvection(u.cls)
     assert [list(r) for r in u.twist.rows] == tv(u.cls.coords, g)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), g=st.integers(1, 3))
+def test_pairing_decides_commute_and_braid(data, g):
+    # T_u T_v - T_v T_u = <v, u>(<., v> u + <., u> v), and on the plane of
+    # independent u, v the braid relation reads <u, v>^3 = <u, v>
+    coords = st.lists(st.integers(-2, 2), min_size=2 * g, max_size=2 * g)
+    x, y = (HomologyClass(data.draw(coords), g) for _ in range(2))
+    p = symplectic_form(x, y)
+    a, b = x.coords, y.coords
+    parallel = all(a[i] * b[j] == a[j] * b[i] for i in range(2 * g) for j in range(i))
+    tx, ty = transvection(x), transvection(y)
+    assert (tx @ ty == ty @ tx) == (p == 0 or parallel)
+    braid = tx @ ty @ tx == ty @ tx @ ty
+    if abs(p) == 1:
+        assert braid
+    assert braid == (abs(p) == 1 or x == y or x == -y)
+    if x.is_primitive and y.is_primitive:
+        u, v = NamedCurve("u", x), NamedCurve("v", y)
+        assert _pair_verdict(u, v, False).status == check_commuting(u, v).status
+        if x != y and x != -y:
+            assert _pair_verdict(u, v, True).status == check_braid(u, v).status
 
 
 @PROPERTY

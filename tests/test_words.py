@@ -5,10 +5,12 @@ from math import comb
 
 import pytest
 
-from conftest import check_conjugacy
-from mcgtorsion import curves, symplectic, words
+from conftest import check_braid, check_commuting, check_conjugacy
+from mcgtorsion import cli, curves, symplectic, words
 from mcgtorsion.curves import (
     ChainConfig,
+    LanternConfig,
+    LickorishSystem,
     NamedCurve,
     chain_configuration,
     lantern_configuration,
@@ -17,9 +19,7 @@ from mcgtorsion.curves import (
 from mcgtorsion.symplectic import HomologyClass, alpha, beta, identity, transvection
 from mcgtorsion.torsion import build_f2, theorem_generators
 from mcgtorsion.words import (
-    check_braid,
     check_chain,
-    check_commuting,
     check_lantern,
     evaluate,
     format_word,
@@ -104,6 +104,99 @@ def test_format_word_round_trip():
     assert parse_word(format_word(word)) == word
     assert format_word(()) == "<empty>"
     assert parse_word(format_word(())) == ()
+
+
+def _oracle_statuses(system):
+    """The pairwise verdicts of relation_suite, decided by twist products."""
+    out = []
+    curves = system.curves
+    for i, u in enumerate(curves):
+        for v in curves[i + 1 :]:
+            meet = tuple(sorted((u.name, v.name))) in system.meeting
+            out.append((check_braid if meet else check_commuting)(u, v))
+    return out
+
+
+def test_pairing_verdicts_match_product_oracle():
+    for g in range(3, 17):
+        oracle = _oracle_statuses(lickorish_system(g))
+        suite = relation_suite(g)[: len(oracle)]
+        assert [v.check for v in suite] == [v.check for v in oracle]
+        assert [v.status for v in suite] == [v.status for v in oracle]
+        assert all(v.passed for v in suite)
+
+
+def _with_class(monkeypatch, g, name, coords):
+    """Patch relation_suite's system: curve name gets coords, past every build check."""
+    system = lickorish_system(g)
+    curves_ = tuple(NamedCurve(u.name, HomologyClass(coords, g)) if u.name == name else u
+                    for u in system.curves)
+    wrong = LickorishSystem(g, curves_, system.meeting, system.c_signs)
+    monkeypatch.setattr(words, "lickorish_system", lambda genus: wrong)
+    return wrong
+
+
+def test_wrong_class_fails_pairwise_verdicts_like_the_oracle(monkeypatch, capsys):
+    # c1 = alpha_1 + alpha_3 misses b2, which it is declared to meet, and
+    # meets b3, from which it is declared disjoint
+    g = 4
+    wrong = _with_class(monkeypatch, g, "c1", (1, 0, 1, 0, 0, 0, 0, 0))
+    failed = [v for v in relation_suite(g) if not v.passed]
+    oracle = [v for v in _oracle_statuses(wrong) if not v.passed]
+    assert [v.check for v in failed] == ["braid(b2,c1)", "commute(b3,c1)"]
+    assert [v.to_dict() for v in failed] == [v.to_dict() for v in oracle]
+    assert failed[0].details["lhs_word"] == "Tb2 Tc1 Tb2"
+    assert failed[0].details["rhs_word"] == "Tc1 Tb2 Tc1"
+    assert failed[1].details["lhs_word"] == "Tb3 Tc1"
+    assert failed[1].details["rhs_word"] == "Tc1 Tb3"
+    assert all(v.details["lhs_matrix"] != v.details["rhs_matrix"] for v in failed)
+    # the CLI reports the failure with exit status 1, not a traceback
+    assert cli.main(["--genus", str(g), "--checks", "relations"]) == 1
+    assert "braid(b2,c1)" in capsys.readouterr().out
+
+
+def test_parallel_classes_declared_to_meet_fail_braid(monkeypatch):
+    # with [b1] = [a1] the twists are equal, so the braid products agree, but
+    # curves declared to meet once cannot have parallel classes
+    g = 3
+    _with_class(monkeypatch, g, "b1", alpha(1, g).coords)
+    verdict = next(v for v in relation_suite(g) if v.check == "braid(a1,b1)")
+    assert verdict.status == "fail"
+    assert verdict.details["lhs_matrix"] == verdict.details["rhs_matrix"]
+
+
+def test_relation_suite_makes_no_pairwise_product(monkeypatch):
+    # the chain and lantern products do not depend on the genus; a pairwise
+    # product would grow with the number of curve pairs
+    calls = []
+    real = symplectic.mul_rows
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(symplectic, "mul_rows", counting)
+    counts = []
+    for g in (8, 16):
+        lickorish_system(g)
+        calls.clear()
+        assert all(v.passed for v in relation_suite(g))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_lantern_commutations_fail_on_a_meeting_interior_class(monkeypatch):
+    # y = beta_1 meets the boundary curves a1 and c1: the pairing and the
+    # product oracle both say the twists do not commute
+    g = 3
+    config = lantern_configuration(g)
+    roles = dict(config.roles, y=NamedCurve("y", beta(1, g)))
+    wrong = LanternConfig(g, roles, config.boundary_orientations)
+    monkeypatch.setattr(words, "lantern_configuration", lambda genus: wrong)
+    verdict = check_lantern(g)
+    assert not verdict.passed
+    assert verdict.details["disjoint_commutations"] is False
+    assert not check_commuting(roles["a"], roles["y"]).passed
 
 
 def test_check_commuting_disjoint_pairs():
