@@ -37,7 +37,7 @@ from .symplectic import (
     element_order,
     pack_columns,
     reduce_mod_p,
-    xor_tables,
+    xor_table,
 )
 from .torsion import lantern_assembly, luo_decomposition, theorem_generators
 from .words import Verdict, relation_suite
@@ -47,6 +47,8 @@ HOMOLOGY_CAVEAT = (
     "necessary conditions; statements inside the Torelli kernel are out of scope"
 )
 
+
+CHECK_NAMES = ("relations", "torsion", "theorem", "modp")
 
 # the largest |Sp(2g, p)| certified by exact order
 EXACT_ORDER_LIMIT = 2_000_000
@@ -189,29 +191,23 @@ def _require_certificate(g, p, with_witnesses):
 def _orbit_packed(mats, n):
     """Vector orbit size over F_2 with each vector held as an int (bit k = entry k).
 
-    M v is the XOR of the columns of M picked out by v, read eight
-    coordinates at a time from per-chunk lookup tables, for n <= 24 (at most
-    three chunks).  Each level maps the whole frontier through one generator
-    at a time, and a bitmap of 2^n bytes marks the vectors seen.
+    M v is the XOR of the columns of M picked out by v, read from two lookup
+    tables per generator: one over the low n // 2 bits (the alpha half) and
+    one over the rest (the beta half), each of at most 2^(n - n // 2)
+    entries.  Each level maps the whole frontier through one generator at a
+    time, and a bitmap of 2^n bytes marks the vectors seen.
     """
-    maps = [xor_tables(pack_columns(m)) for m in mats]
+    h = n // 2
+    low = (1 << h) - 1
+    maps = [(xor_table(cols[:h]), xor_table(cols[h:])) for cols in map(pack_columns, mats)]
     seen = bytearray(1 << n)
     seen[1] = 1
     size = 1
     frontier = [1]
     while frontier:
         nxt = []
-        for tables in maps:
-            if len(tables) == 1:
-                (t0,) = tables
-                images = [t0[v] for v in frontier]
-            elif len(tables) == 2:
-                t0, t1 = tables
-                images = [t0[v & 0xFF] ^ t1[v >> 8] for v in frontier]
-            else:
-                t0, t1, t2 = tables
-                images = [t0[v & 0xFF] ^ t1[(v >> 8) & 0xFF] ^ t2[v >> 16] for v in frontier]
-            for img in images:
+        for t_alpha, t_beta in maps:
+            for img in [t_alpha[v & low] ^ t_beta[v >> h] for v in frontier]:
                 if not seen[img]:
                     seen[img] = 1
                     size += 1
@@ -335,9 +331,10 @@ def convention_record(g):
 def full_theorem_report(g, prime=None, with_witnesses=False, checks=None):
     """Aggregate report for one genus; returns (report_dict, timings_dict).
 
-    checks is a subset of {"relations", "torsion", "theorem", "modp"};
-    None means every applicable check (modp only when a prime is given).
-    Raises ValueError before any check runs when g < 2, when the selection
+    checks is a nonempty collection of CHECK_NAMES; None means every
+    applicable check (modp only when a prime is given).  Raises ValueError
+    before any check runs: first when checks names an unknown check (the
+    first one in its order) or none, then when g < 2, when the selection
     needs a larger genus or a prime, when a prime is given without the
     modp check, when no mod-p certificate can decide (certificate_mode is
     None), or when with_witnesses is set and no exact-order certificate
@@ -345,6 +342,13 @@ def full_theorem_report(g, prime=None, with_witnesses=False, checks=None):
     """
     import time
 
+    if checks is not None:
+        unknown = [name for name in checks if name not in CHECK_NAMES]
+        if unknown:
+            raise ValueError(f"unknown check {unknown[0]!r}; choose from {CHECK_NAMES}")
+        if not checks:
+            raise ValueError("no checks selected")
+        checks = set(checks)
     if g < 2:
         raise ValueError(f"genus must be >= 2, got {g}")
     if checks is None:

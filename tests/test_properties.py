@@ -1,7 +1,8 @@
 """Property tests: the closure oracle against the stabilizer chain, words,
-inverses, the exact product, the matrix action and symplectic check against
-plain oracles, the pairing decider of the commutation and braid relations
-against twist products, and the determinism of the sign solver."""
+inverses, the exact product, the matrix action, the symplectic check and the
+mod-p reduction against plain oracles, the pairing decider of the
+commutation and braid relations against twist products, and the determinism
+of the sign solver."""
 
 from functools import lru_cache
 from unittest import mock
@@ -25,6 +26,7 @@ from mcgtorsion.chain import StabilizerChain
 from mcgtorsion.kernels import mul_mod
 from mcgtorsion.curves import NamedCurve, lantern_configuration, lickorish_system
 from mcgtorsion.symplectic import (
+    SMALL_PRIMES,
     HomologyClass,
     SympMatrix,
     identity,
@@ -191,18 +193,33 @@ def test_apply_matches_dense_row_dot(data, g):
     vectors += [[0] * n] + [[int(i == j) for j in range(n)] for i in range(n)]
     for x in vectors:
         want = tuple(sum(a * b for a, b in zip(row, x)) for row in m.rows)
-        for arg in (HomologyClass(x, g), tuple(x), list(x)):
-            out = m.apply(arg)
-            if isinstance(arg, HomologyClass):
-                assert out == HomologyClass(want, g)
-                out = out.coords
-            assert out == want
-            assert all(type(v) is int for v in out)
+        out = m.apply(HomologyClass(x, g))
+        assert out == HomologyClass(want, g)
+        assert out.coords == want
+        assert all(type(v) is int for v in out.coords)
     with pytest.raises(ValueError):
-        m.apply([0] * (n + 1))
+        m.apply(HomologyClass([0] * (n + 2), g + 1))
     # the transpose apply keeps does not enter == or hash
     assert m == twin and twin == m
     assert hash(m) == h == hash(twin)
+
+
+@PROPERTY
+@given(data=st.data(), g=st.integers(1, 4))
+def test_reduce_mod_p_keeps_the_form(data, g):
+    # reduce_mod_p re-checks nothing: M^T J M = J mod p follows from the
+    # exact check every SympMatrix passed when it was built
+    n = 2 * g
+    m = identity(g)
+    for _ in range(data.draw(st.integers(1, 5))):
+        c = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        m = m @ transvection(HomologyClass(c, g))
+    j = [[(k == i + g) - (i == k + g) for k in range(n)] for i in range(n)]
+    for p in SMALL_PRIMES:
+        r = [list(row) for row in reduce_mod_p(m, p)]
+        assert all(0 <= x < p for row in r for x in row)
+        form = mm(mm([list(col) for col in zip(*r)], j), r)
+        assert [[x % p for x in row] for row in form] == [[x % p for x in row] for row in j]
 
 
 def _generator_pool(g):

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -85,6 +86,51 @@ def test_cli_genus2_relations_allowed():
 def test_cli_unknown_check_rejected():
     proc = _run_cli("--genus", "3", "--checks", "nonsense")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("checks, message", [
+    (set(), "no checks selected"),
+    ([], "no checks selected"),
+    ({"bogus"}, f"unknown check 'bogus'; choose from {theorem.CHECK_NAMES}"),
+    (["relations", "bogus", "nonsense"],
+     f"unknown check 'bogus'; choose from {theorem.CHECK_NAMES}"),
+])
+def test_full_theorem_report_owns_the_check_set(checks, message, monkeypatch):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran before the check set was judged")
+
+    monkeypatch.setattr(theorem, "relation_suite", no_check)
+    with pytest.raises(ValueError) as exc:
+        full_theorem_report(4, checks=checks)
+    assert str(exc.value) == message
+    # the check set is judged before the genus
+    with pytest.raises(ValueError, match="check"):
+        full_theorem_report(1, checks=checks)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("bogus", f"error: unknown check 'bogus'; choose from {theorem.CHECK_NAMES}"),
+    ("theorem, bogus,nonsense", f"error: unknown check 'bogus'; choose from {theorem.CHECK_NAMES}"),
+    (",", "error: no checks selected"),
+    (" , ", "error: no checks selected"),
+])
+def test_cli_check_set_errors_are_one_line(text, message):
+    proc = _run_cli("--genus", "4", "--checks", text)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [message]
+
+
+def test_cli_main_freezes_the_start_up_heap(capsys):
+    # kept for speed: without gc.freeze() the benchmark's verify_s rose by
+    # 11-17 % on both workloads (README, Command line)
+    gc.unfreeze()
+    try:
+        assert cli.main(["--genus", "3", "--checks", "relations"]) == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert "RESULT: PASS" in capsys.readouterr().out
 
 
 def test_cli_modp_without_prime_rejected():

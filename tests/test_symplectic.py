@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import ident, mm, mpow, order_oracle, symplectic_form, symplectic_oracle, tv
+from mcgtorsion import symplectic
 from mcgtorsion.symplectic import (
     HomologyClass,
     SympMatrix,
@@ -154,6 +155,33 @@ def test_symplectic_check_edge_cases_match_column_oracle(g):
         if not expected:
             with pytest.raises(ValueError):
                 SympMatrix(_dense_rows(delta, g))
+
+
+@pytest.mark.parametrize("g", (1, 2, 3))
+def test_both_constructors_reject_with_one_message(g, monkeypatch):
+    # SympMatrix(rows) and _from_delta store through one check: the same
+    # non-symplectic matrix fails both the same way, after one call each
+    calls = []
+
+    def counted(delta, genus):
+        calls.append(genus)
+        return is_symplectic_rows(delta, genus)
+
+    monkeypatch.setattr(symplectic, "is_symplectic_rows", counted)
+    for name, delta, expected in _edge_deltas(g):
+        if expected:
+            continue
+        with pytest.raises(ValueError) as from_rows:
+            SympMatrix(_dense_rows(delta, g))
+        with pytest.raises(ValueError) as from_delta:
+            SympMatrix._from_delta(delta, g)
+        assert str(from_rows.value) == str(from_delta.value), name
+        assert str(from_rows.value) == "matrix does not preserve the symplectic form"
+    rows = transvection(alpha(1, g)).rows
+    calls.clear()
+    m = SympMatrix(rows)
+    m @ m
+    assert calls == [g, g]
 
 
 def test_determinant_small_genus():
