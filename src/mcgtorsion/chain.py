@@ -11,8 +11,9 @@ generator at every level sifts to the identity, so the product of the
 orbit lengths is the exact group order and sifting decides membership.
 
 A matrix is held as the tuple of its column bitmasks (bit i of entry j is
-M[i][j], symplectic.pack_columns) and vectors as ints.  A product a b is
-one lookup per column of b in a's `symplectic.xor_tables`, built once per
+M[i][j], symplectic.pack_columns) and vectors as ints.  A product a b maps
+each column of b through a's `symplectic.half_tables`, two lookups per
+column, as the p = 2 vector orbit does.  The tables are built once per
 left factor; the left factors are the strong generators and the stored
 transversal inverses, so the tables are reused.  The image of a base e_k
 under a matrix is its column k, so no matrix-vector product is needed.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .symplectic import pack_columns, xor_tables
+from .symplectic import half_tables, pack_columns
 
 
 class _Level:
@@ -64,6 +65,7 @@ class StabilizerChain:
         if any(len(g) != n or any(len(row) != n for row in g) for g in gens):
             raise ValueError("generators must be square matrices of equal size")
         self._tables = {}
+        self._half = n // 2
         self._ident = tuple(1 << k for k in range(n))
         self._gens = [pack_columns(g) for g in gens]
         self._orders = [len(self._powers(g)) for g in self._gens]
@@ -78,14 +80,11 @@ class StabilizerChain:
         """a b on column bitmasks: column j is a applied to b's column j."""
         tables = self._tables.get(a)
         if tables is None:
-            tables = self._tables[a] = xor_tables(a)
-        if len(tables) == 1:
-            return tuple(map(tables[0].__getitem__, b))
-        out = [tables[0][col & 0xFF] for col in b]
-        for c in range(1, len(tables)):
-            table, shift = tables[c], 8 * c
-            out = [x ^ table[(col >> shift) & 0xFF] for x, col in zip(out, b)]
-        return tuple(out)
+            tables = self._tables[a] = half_tables(a)
+        t_alpha, t_beta = tables
+        h = self._half
+        low = (1 << h) - 1
+        return tuple([t_alpha[col & low] ^ t_beta[col >> h] for col in b])
 
     def _powers(self, mat):
         """[mat, mat^2, ..., identity]; the length is the order of mat."""

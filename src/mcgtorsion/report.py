@@ -73,8 +73,6 @@ def _format_check(name, section, lines):
                 f"  transitive on nonzero vectors: {section.get('transitive')} "
                 f"({section['orbit']['orbit_size']} of {section['orbit']['nonzero_vectors']})"
             )
-    else:
-        lines.append(f"[{name}] {status}")
 
 
 def emit_text(env):

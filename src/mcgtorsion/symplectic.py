@@ -18,6 +18,12 @@ matrices are equal exactly when their Deltas are, and every matrix is
 checked to be symplectic once, on the Delta it stores.  The dense rows are
 a view for serialization and printing.
 
+The F_2 helpers near the end hold a matrix mod 2 as its column bitmasks
+(pack_columns) and read its products from XOR lookup tables (xor_table).
+The stabilizer chain and the p = 2 vector orbit both use one layout,
+half_tables: one table over the alpha half of a vector, one over the beta
+half.
+
 The package's record classes derive from Frozen instead of using
 dataclasses, whose import pulls in inspect, ast and dis and would be most
 of the package's import time.
@@ -259,15 +265,12 @@ class SympMatrix(Frozen):
 
     __slots__ = ("delta", "genus", "_hash", "_rows")
 
-    def __init__(self, rows, genus=None):
+    def __init__(self, rows):
         rows = tuple(_as_int_tuple(r) for r in rows)
         n = len(rows)
         if n == 0 or n % 2 != 0 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square of even dimension")
-        g = n // 2
-        if genus is not None and genus != g:
-            raise ValueError(f"genus mismatch: matrix is {n}x{n} but genus={genus}")
-        self._store(_delta(rows), g)
+        self._store(_delta(rows), n // 2)
 
     @classmethod
     def _from_delta(cls, delta, g):
@@ -435,13 +438,16 @@ def pack_columns(rows):
                  for j in range(len(rows[0])))
 
 
-def xor_tables(cols):
-    """Lookup tables of the F_2 matrix M with column bitmasks cols, eight columns each.
+def half_tables(cols):
+    """The two lookup tables of the F_2 matrix M with column bitmasks cols.
 
-    M v is the XOR of tables[c][(v >> 8c) & 0xFF] over the chunks c, so a
-    matrix-vector product costs one lookup per chunk.
+    With h = len(cols) // 2, the first table is over the low h bits of a
+    vector (the alpha half) and the second over the rest (the beta half),
+    so M v = first[v & (2^h - 1)] ^ second[v >> h]: two lookups, in tables
+    of at most 2^(n - h) entries.
     """
-    return [xor_table(cols[c:c + 8]) for c in range(0, len(cols), 8)]
+    h = len(cols) // 2
+    return xor_table(cols[:h]), xor_table(cols[h:])
 
 
 def reduce_mod_p(m, p):

@@ -29,15 +29,15 @@ the Torelli kernel are invisible by design.
 from __future__ import annotations
 
 from .chain import StabilizerChain
-from .curves import lickorish_system
+from .curves import lantern_configuration, lickorish_system
 from .symplectic import (
     SMALL_PRIMES,
     Frozen,
     alpha,
     element_order,
+    half_tables,
     pack_columns,
     reduce_mod_p,
-    xor_table,
 )
 from .torsion import lantern_assembly, luo_decomposition, theorem_generators
 from .words import Verdict, relation_suite
@@ -191,15 +191,14 @@ def _require_certificate(g, p, with_witnesses):
 def _orbit_packed(mats, n):
     """Vector orbit size over F_2 with each vector held as an int (bit k = entry k).
 
-    M v is the XOR of the columns of M picked out by v, read from two lookup
-    tables per generator: one over the low n // 2 bits (the alpha half) and
-    one over the rest (the beta half), each of at most 2^(n - n // 2)
-    entries.  Each level maps the whole frontier through one generator at a
+    M v is read from the generator's two symplectic.half_tables, one over
+    the low n // 2 bits (the alpha half) and one over the rest (the beta
+    half).  Each level maps the whole frontier through one generator at a
     time, and a bitmap of 2^n bytes marks the vectors seen.
     """
     h = n // 2
     low = (1 << h) - 1
-    maps = [(xor_table(cols[:h]), xor_table(cols[h:])) for cols in map(pack_columns, mats)]
+    maps = [half_tables(pack_columns(m)) for m in mats]
     seen = bytearray(1 << n)
     seen[1] = 1
     size = 1
@@ -315,8 +314,6 @@ def convention_record(g):
         "curve_classes": {u.name: list(u.cls.coords) for u in system.curves},
     }
     if g >= 3:
-        from .curves import lantern_configuration
-
         config = lantern_configuration(g)
         record["lantern_interior"] = {
             "y": list(config.roles["y"].cls.coords),

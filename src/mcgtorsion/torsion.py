@@ -5,7 +5,9 @@ sends handle i to handle -i resp. 1-i (mod g), and their product is the
 cyclic handle shift of order g.  f3 restricts to an order-3 rotation of
 the four-holed sphere spanning handles 1..3 (cycling the boundary curves
 a_1 -> c_2 -> a_3 and the interior curves a_2 -> y -> z) and acts on each
-remaining handle by the order-3 map alpha -> beta -> -alpha-beta.
+remaining handle by the order-3 map alpha -> beta -> -alpha-beta.  One
+builder, build_f3, makes it at every genus g >= 3; at g = 3 there is no
+remaining handle, and build_genus3_extras adds tau to it.
 
 Pictures pin these maps down only up to orientation, so the matrices are
 stated as conventions: f1 and f2 act by -1 times a handle permutation
@@ -126,14 +128,19 @@ def handle_shift(g):
 
 
 def luo_decomposition(g, f2):
-    """Ta2 Ta1^-1 = (f2 Ta1 f2) Ta1^-1 = f2 (Ta1 f2 Ta1^-1), involution included."""
+    """Ta2 Ta1^-1 = f2 (Ta1 f2 Ta1^-1), with the conjugate Ta1 f2 Ta1^-1 an involution.
+
+    The product f2 Ta1 f2 Ta1^-1 is formed once; its other bracketing
+    (f2 Ta1 f2) Ta1^-1 is the same exact product, so a failure reports it
+    under both middle_matrix and rhs_matrix.
+    """
     system = lickorish_system(g)
     ta1, ta2 = system.curve("a1").twist, system.curve("a2").twist
-    target = ta2 @ ta1.inv()
-    middle = (f2 @ ta1 @ f2) @ ta1.inv()
-    luo_factor = ta1 @ f2 @ ta1.inv()
-    right = f2 @ luo_factor
-    equal = target == middle == right
+    ta1_inv = ta1.inv()
+    target = ta2 @ ta1_inv
+    luo_factor = ta1 @ f2 @ ta1_inv
+    middle = f2 @ luo_factor
+    equal = target == middle
     involution = (luo_factor @ luo_factor).is_identity
     ok = equal and involution
     details = {"equal": equal, "conjugate_is_involution": involution}
@@ -141,7 +148,7 @@ def luo_decomposition(g, f2):
         details["lhs_word"] = "Ta2 Ta1^-1"
         details["lhs_matrix"] = target.to_lists()
         details["middle_matrix"] = middle.to_lists()
-        details["rhs_matrix"] = right.to_lists()
+        details["rhs_matrix"] = middle.to_lists()
     return Verdict(f"luo(g={g})", "pass" if ok else "fail", details)
 
 
@@ -219,15 +226,14 @@ def _embed_block(g, block6):
     return rows
 
 
-def _assemble_f3(g, with_handle_blocks):
+def _assemble_f3(g):
     rows = _embed_block(g, LANTERN_ROTATION_BLOCK)
-    if with_handle_blocks:
-        for i in range(3, g):  # 0-based handles 4..g
-            ai, bi = i, g + i
-            rows[ai][ai] = ORDER3_BLOCK[0][0]
-            rows[ai][bi] = ORDER3_BLOCK[0][1]
-            rows[bi][ai] = ORDER3_BLOCK[1][0]
-            rows[bi][bi] = ORDER3_BLOCK[1][1]
+    for i in range(3, g):  # 0-based handles 4..g, none at genus 3
+        ai, bi = i, g + i
+        rows[ai][ai] = ORDER3_BLOCK[0][0]
+        rows[ai][bi] = ORDER3_BLOCK[0][1]
+        rows[bi][ai] = ORDER3_BLOCK[1][0]
+        rows[bi][bi] = ORDER3_BLOCK[1][1]
     return SympMatrix(rows)
 
 
@@ -261,20 +267,16 @@ def _validate_f3(action, g):
 
 @lru_cache(maxsize=None)
 def build_f3(g):
-    """Global order-3 element, genus >= 4."""
-    if g < 4:
-        raise ValueError(f"global f3 needs genus >= 4, got {g}")
-    m = _assemble_f3(g, with_handle_blocks=True)
+    """The order-3 generator at genus g >= 3: lantern rotation, order-3 blocks on handles 4..g."""
+    if g < 3:
+        raise ValueError(f"f3 needs genus >= 3, got {g}")
+    m = _assemble_f3(g)
     action = discover_action(m, named_classes(g))
     _validate_f3(action, g)
-    return TorsionCertificate(
-        "f3", m, 3, action,
-        {
-            "c1_sign": action["c1"][1],
-            "interior_cycle": "a2 -> " + action["a2"][0],
-            "handle_blocks": "alpha -> beta -> -alpha-beta on handles 4..g",
-        },
-    )
+    notes = {"c1_sign": action["c1"][1], "interior_cycle": "a2 -> " + action["a2"][0]}
+    if g >= 4:
+        notes["handle_blocks"] = "alpha -> beta -> -alpha-beta on handles 4..g"
+    return TorsionCertificate("f3", m, 3, action, notes)
 
 
 def sigma_matrix():
@@ -287,28 +289,20 @@ def sigma_matrix():
 
 @lru_cache(maxsize=None)
 def build_genus3_extras():
-    """The genus-3 pieces: local f3 and the extra involution tau."""
+    """The genus-3 pieces: f3 (build_f3(3)) and the extra involution tau."""
     g = 3
-    m = _assemble_f3(g, with_handle_blocks=False)
-    classes = named_classes(g)
-    action = discover_action(m, classes)
-    _validate_f3(action, g)
-    f3_local = TorsionCertificate(
-        "f3", m, 3, action,
-        {"c1_sign": action["c1"][1], "interior_cycle": "a2 -> " + action["a2"][0]},
-    )
-
+    f3 = build_f3(g)
     sigma = sigma_matrix()
     for i in (1, 2):
         if sigma.apply(alpha(i, g)).coords != alpha(i, g).coords:
             raise AssertionError(f"sigma moves a{i}")
     f1, _ = _pi_rotations(g)
     tau_m = sigma.inv() @ f1 @ sigma
-    tau_action = discover_action(tau_m, classes)
+    tau_action = discover_action(tau_m, named_classes(g))
     target = tau_action.get("a3")
     if target is None or not target[0].startswith("b"):
         raise AssertionError("tau does not send a3 to a longitude class")
-    return f3_local, TorsionCertificate(
+    return f3, TorsionCertificate(
         "sigma^-1 f1 sigma", tau_m, 2, tau_action,
         {"a3_image": f"{'-' if target[1] < 0 else ''}{target[0]}"},
     )

@@ -179,7 +179,8 @@ def test_evaluate_rejects_bad_index(p):
 
 def test_mod2_chain_three_chunk_products():
     # Sp(4,2) on the last two handles at g=9: columns have n = 18 bits, so
-    # every product reads three 8-bit chunks, the last one bits 16 and 17
+    # every product reads the bits of handles 8 and 9 from both half tables,
+    # the alpha bits 7, 8 and the beta bits 16, 17
     gens = _twists(9, ("a8", "b8", "c8", "a9", "b9"))
     mats = [reduce_mod_p(m, 2) for m in gens]
     closure = modp_closure(mats, 2)
@@ -198,7 +199,7 @@ def test_mod2_chain_three_chunk_products():
 
 @pytest.mark.parametrize("g", (4, 5))
 def test_mod2_chain_reaches_sp8_and_sp10(g):
-    # n = 8 is one 8-bit chunk per column, n = 10 two
+    # half tables over 4 bits each at n = 8, over 5 bits each at n = 10
     mats = [reduce_mod_p(c.matrix, 2) for c in theorem_generators(g)]
     chain = StabilizerChain(mats)
     assert chain.order() == sp_modp_order(g, 2)

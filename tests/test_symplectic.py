@@ -10,12 +10,12 @@ from mcgtorsion.symplectic import (
     alpha,
     beta,
     element_order,
+    half_tables,
     identity,
     is_symplectic_rows,
     pack_columns,
     reduce_mod_p,
     transvection,
-    xor_tables,
     zero_class,
 )
 
@@ -220,16 +220,16 @@ def test_pack_columns_bit_order():
 
 @pytest.mark.parametrize("n", (1, 6, 8, 9, 16, 17, 20))
 def test_xor_tables_give_the_product_mod_2(n):
+    # half_tables: one table over the low n // 2 bits, one over the rest
     rng = random.Random(n)
     rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-    tables = xor_tables(pack_columns(rows))
-    assert len(tables) == -(-n // 8)
+    t_alpha, t_beta = half_tables(pack_columns(rows))
+    h = n // 2
+    assert (len(t_alpha), len(t_beta)) == (1 << h, 1 << (n - h))
     for _ in range(50):
         v = [rng.randint(0, 1) for _ in range(n)]
         bits = sum(x << k for k, x in enumerate(v))
-        img = 0
-        for c, table in enumerate(tables):
-            img ^= table[(bits >> (8 * c)) & 0xFF]
+        img = t_alpha[bits & ((1 << h) - 1)] ^ t_beta[bits >> h]
         dense = [sum(row[k] * v[k] for k in range(n)) % 2 for row in rows]
         assert img == sum(x << i for i, x in enumerate(dense))
 

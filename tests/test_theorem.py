@@ -32,6 +32,13 @@ def test_luo_negative_control():
     # replacing f2 by the identity collapses the middle expression to I
     v = torsion.luo_decomposition(4, identity(4))
     assert not v.passed
+    assert set(v.details) == {"equal", "conjugate_is_involution", "lhs_word",
+                              "lhs_matrix", "middle_matrix", "rhs_matrix"}
+    assert not v.details["equal"]
+    assert v.details["lhs_word"] == "Ta2 Ta1^-1"
+    # both bracketings are one exact product, reported under both keys
+    assert v.details["rhs_matrix"] == v.details["middle_matrix"] == identity(4).to_lists()
+    assert v.details["lhs_matrix"] != v.details["middle_matrix"]
 
 
 @pytest.mark.parametrize("g", range(3, 9))

@@ -92,7 +92,16 @@ def test_f3_certificate(g):
 
 def test_f3_rejects_small_genus():
     with pytest.raises(ValueError):
-        build_f3(3)
+        build_f3(2)
+
+
+def test_f3_at_genus_3_is_the_generator_without_handle_blocks():
+    # one builder at every genus: at g = 3 there is no handle 4..g to turn
+    cert = build_f3(3)
+    assert cert is theorem_generators(3)[3]
+    assert cert is build_genus3_extras()[0]
+    assert "handle_blocks" not in cert.notes
+    assert "handle_blocks" in build_f3(4).notes
 
 
 def test_f3_order3_block_on_complement_handles():
@@ -264,7 +273,6 @@ def test_lantern_rotation_block_sign_flip_is_not_symplectic(monkeypatch, entry):
     rows = [list(row) for row in LANTERN_ROTATION_BLOCK]
     rows[r][c] = -rows[r][c]
     monkeypatch.setattr(torsion, "LANTERN_ROTATION_BLOCK", tuple(map(tuple, rows)))
-    with pytest.raises(ValueError, match="symplectic"):
-        build_f3.__wrapped__(4)
-    with pytest.raises(ValueError, match="symplectic"):
-        build_genus3_extras.__wrapped__()
+    for g in (3, 4):
+        with pytest.raises(ValueError, match="symplectic"):
+            build_f3.__wrapped__(g)
