@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 
+from .theorem import CHECK_NAMES
+
 
 def envelope(report, timings):
     return {"report": report, "timings": {k: round(v, 6) for k, v in timings.items()}}
@@ -85,7 +87,7 @@ def emit_text(env):
     ]
     for key, value in sorted(report["convention"].items()):
         lines.append(f"  {key}: {value}")
-    for name in ("relations", "torsion", "theorem", "modp"):
+    for name in CHECK_NAMES:
         if name in report["checks"]:
             _format_check(name, report["checks"][name], lines)
     lines.append(f"RESULT: {'PASS' if report['passed'] else 'FAIL'}")

@@ -1,4 +1,4 @@
-"""Construction and certification of the torsion generators.
+"""Construction of the torsion generators and their certificates.
 
 f1 and f2 are the two pi-rotations of the ring-of-handles picture: each
 sends handle i to handle -i resp. 1-i (mod g), and their product is the
@@ -20,9 +20,11 @@ tau sends a_3 to a longitude.  Each curve action is found once, by
 discover_action, and stated as found.  Every fact a report states is
 decided by the verdict that reports it (theorem.full_theorem_report):
 each generator's claimed order and order(f2 f1) = g by the torsion
-verdict, luo_decomposition and lantern_assembly by the theorem verdict.
-Luo's identity Ta2 = f2 Ta1 f2, with f2 an involution, also decides
-f2 a1 = +/-a2, since W T_c W^-1 = T_{Wc} and T_{-c} = T_c.
+verdict, the Luo decomposition and the lantern assembly by the theorem
+verdict.  This module only builds: it imports no verdict module.  The
+Luo verdict's Ta2 Ta1^-1 = f2 F4, with F4 the conjugated_involution
+Ta1 f2 Ta1^-1 and f2 an involution, also decides f2 a1 = +/-a2, since
+W T_c W^-1 = T_{Wc} and T_{-c} = T_c.
 
 A pi-rotation turns over each handle that it maps to itself, so it acts
 there by -I, the only element of order 2 in SL(2,Z); this is checked too.
@@ -44,7 +46,6 @@ from .symplectic import (
     beta,
     identity_rows,
 )
-from .words import Verdict, _equality
 
 # order-3 handle block: alpha -> beta, beta -> -alpha - beta
 ORDER3_BLOCK = ((0, -1), (1, -1))
@@ -125,31 +126,6 @@ def _signed_perm(g, perm, sign):
 def handle_shift(g):
     """The cyclic shift alpha_i -> alpha_{i+1}, beta_i -> beta_{i+1}."""
     return _signed_perm(g, lambda i: i + 1, 1)
-
-
-def luo_decomposition(g, f2):
-    """Ta2 Ta1^-1 = f2 (Ta1 f2 Ta1^-1), with the conjugate Ta1 f2 Ta1^-1 an involution.
-
-    The product f2 Ta1 f2 Ta1^-1 is formed once; its other bracketing
-    (f2 Ta1 f2) Ta1^-1 is the same exact product, so a failure reports it
-    under both middle_matrix and rhs_matrix.
-    """
-    system = lickorish_system(g)
-    ta1, ta2 = system.curve("a1").twist, system.curve("a2").twist
-    ta1_inv = ta1.inv()
-    target = ta2 @ ta1_inv
-    luo_factor = ta1 @ f2 @ ta1_inv
-    middle = f2 @ luo_factor
-    equal = target == middle
-    involution = (luo_factor @ luo_factor).is_identity
-    ok = equal and involution
-    details = {"equal": equal, "conjugate_is_involution": involution}
-    if not ok:
-        details["lhs_word"] = "Ta2 Ta1^-1"
-        details["lhs_matrix"] = target.to_lists()
-        details["middle_matrix"] = middle.to_lists()
-        details["rhs_matrix"] = middle.to_lists()
-    return Verdict(f"luo(g={g})", "pass" if ok else "fail", details)
 
 
 def _check_pi_rotations(g, f1, f2):
@@ -235,19 +211,6 @@ def _assemble_f3(g):
         rows[bi][ai] = ORDER3_BLOCK[1][0]
         rows[bi][bi] = ORDER3_BLOCK[1][1]
     return SympMatrix(rows)
-
-
-def lantern_assembly(g, f3):
-    """T_c1 = (Ta2 Ta1^-1) f3(...)f3^-1 f3^2(...)f3^-2."""
-    system = lickorish_system(g)
-    e = system.curve("a2").twist @ system.curve("a1").twist.inv()
-    f3i = f3.inv()
-    rhs = e @ (f3 @ e @ f3i) @ (f3 @ f3 @ e @ f3i @ f3i)
-    return _equality(
-        f"lantern_assembly(g={g})", "Tc1",
-        "(Ta2 Ta1^-1) (F3 Ta2 Ta1^-1 F3^-1) (F3^2 Ta2 Ta1^-1 F3^-2)",
-        system.curve("c1").twist, rhs,
-    )
 
 
 def _validate_f3(action, g):

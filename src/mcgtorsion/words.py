@@ -6,7 +6,8 @@ matrices.  Words are stored as (symbol, exponent) pairs.
 
 The commutation and braid relations of twists are decided by the
 symplectic pairing of the two classes, with no product; the chain and
-lantern relations by their products.
+lantern relations by their products, which check_chain and check_lantern
+form from the curves curves.py builds.
 """
 
 from __future__ import annotations
@@ -139,10 +140,8 @@ def check_chain(t, g):
     Raises ValueError when the t-chain does not fit in genus g.
     """
     config = chain_configuration(t, g)
-    q = config.twist_product() ** config.power
-    rhs = identity(g)
-    for u in config.boundary:
-        rhs = rhs @ u.twist
+    q = reduce(matmul, (u.twist for u in config.curves)) ** config.power
+    rhs = reduce(matmul, (u.twist for u in config.boundary))
     chain_word = " ".join(f"T{u.name}" for u in config.curves)
     ok = q == rhs
     details = {
@@ -166,11 +165,12 @@ def check_lantern(g):
     commute(...) verdicts.  Raises ValueError below genus 3.
     """
     config = lantern_configuration(g)
-    lhs, rhs = config.product_sides()
-    product_ok = lhs == rhs
-    lhs2, rhs2 = config.rewritten_sides()
-    rewritten_ok = lhs2 == rhs2
     roles = config.roles
+    ta, tb, tc, td, tx, ty, tz = (roles[r].twist for r in "abcdxyz")
+    lhs = ta @ tb @ tc @ td
+    rhs = tx @ ty @ tz
+    product_ok = lhs == rhs
+    rewritten_ok = td == (tx @ ta.inv()) @ (ty @ tb.inv()) @ (tz @ tc.inv())
     commute_ok = all(pairing(roles[r], roles[s]) == 0 for r in "abcd" for s in "yz")
     ok = product_ok and rewritten_ok and commute_ok
     details = {

@@ -10,6 +10,7 @@ import time
 
 from conftest import comparable_json
 from mcgtorsion import report as report_mod
+from mcgtorsion import theorem
 from mcgtorsion.curves import lickorish_system
 from mcgtorsion.symplectic import (
     HomologyClass,
@@ -27,9 +28,8 @@ from mcgtorsion.theorem import (
     property1_orbit_check,
 )
 from mcgtorsion.torsion import (
+    TorsionCertificate,
     build_genus3_extras,
-    lantern_assembly,
-    luo_decomposition,
     theorem_generators,
 )
 from mcgtorsion.words import (
@@ -83,13 +83,21 @@ def test_criterion_2_torsion_certificates():
           f"(tau sends a3 to {recorded}) in {elapsed:.2f}s")
 
 
-def test_criterion_3_proof_replay():
+def test_criterion_3_proof_replay(monkeypatch):
     t0 = time.perf_counter()
     for g in range(3, 9):
         assert luo_decomposition_check(g).passed
         assert lantern_assembly_check(g).passed
-    assert not luo_decomposition(4, identity(4)).passed
-    assert not lantern_assembly(4, identity(4)).passed
+    # negative controls: f2, then f3, replaced by the identity in the listed set
+    certs = theorem_generators(4)
+    for index, check in ((1, luo_decomposition_check), (3, lantern_assembly_check)):
+        c = certs[index]
+        altered = list(certs)
+        altered[index] = TorsionCertificate(c.name, identity(4), c.claimed_order,
+                                            c.curve_action, c.notes)
+        monkeypatch.setattr(theorem, "theorem_generators", lambda _g: tuple(altered))
+        assert not check(4).passed
+    monkeypatch.undo()
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"proof replay took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 3 PASS: Luo + lantern assembly g=3..8, "

@@ -7,7 +7,7 @@ import pytest
 from conftest import orbit_closure
 from mcgtorsion.curves import lickorish_system
 from mcgtorsion.kernels import modp_closure
-from mcgtorsion import cli, curves, theorem, torsion
+from mcgtorsion import cli, curves, theorem, torsion, words
 from mcgtorsion.symplectic import SympMatrix, alpha, identity, reduce_mod_p, transvection
 from mcgtorsion.theorem import (
     certificate_mode,
@@ -28,17 +28,44 @@ def test_luo_decomposition(g):
     assert luo_decomposition_check(g).passed
 
 
-def test_luo_negative_control():
-    # replacing f2 by the identity collapses the middle expression to I
-    v = torsion.luo_decomposition(4, identity(4))
+def _with_matrix(monkeypatch, g, index, matrix):
+    """theorem.theorem_generators(g) with generator index given the matrix; returns the set."""
+    certs = list(theorem_generators(g))
+    c = certs[index]
+    certs[index] = TorsionCertificate(c.name, matrix, c.claimed_order, c.curve_action, c.notes)
+    monkeypatch.setattr(theorem, "theorem_generators", lambda _g: tuple(certs))
+    return certs
+
+
+def test_luo_negative_control(monkeypatch):
+    # replacing f2 by the identity collapses the product f2 F4 to F4
+    certs = _with_matrix(monkeypatch, 4, 1, identity(4))
+    v = luo_decomposition_check(4)
     assert not v.passed
     assert set(v.details) == {"equal", "conjugate_is_involution", "lhs_word",
                               "lhs_matrix", "middle_matrix", "rhs_matrix"}
-    assert not v.details["equal"]
+    assert not v.details["equal"] and v.details["conjugate_is_involution"]
     assert v.details["lhs_word"] == "Ta2 Ta1^-1"
-    # both bracketings are one exact product, reported under both keys
-    assert v.details["rhs_matrix"] == v.details["middle_matrix"] == identity(4).to_lists()
+    # the one product f2 F4 is reported under both keys
+    assert v.details["rhs_matrix"] == v.details["middle_matrix"] == certs[2].matrix.to_lists()
     assert v.details["lhs_matrix"] != v.details["middle_matrix"]
+
+
+@pytest.mark.parametrize("g", (3, 4, 8))
+def test_luo_reads_the_listed_third_generator(monkeypatch, g):
+    # f2 is an involution too, so every other check passes with it in
+    # place of Ta1 f2 Ta1^-1; the Luo verdict reads the listed F4 and fails
+    _with_matrix(monkeypatch, g, 2, theorem_generators(g)[1].matrix)
+    report, _ = full_theorem_report(g)
+    assert report["passed"] is False
+    checks = report["checks"]
+    assert checks["relations"]["passed"] and checks["torsion"]["passed"]
+    section = checks["theorem"]
+    assert section["passed"] is False
+    assert section["luo"]["status"] == "fail"
+    assert section["luo"]["details"]["equal"] is False
+    assert section["luo"]["details"]["conjugate_is_involution"] is True
+    assert section["lantern_assembly"]["status"] == section["orbit"]["status"] == "pass"
 
 
 @pytest.mark.parametrize("g", range(3, 9))
@@ -46,15 +73,17 @@ def test_lantern_assembly(g):
     assert lantern_assembly_check(g).passed
 
 
-def test_lantern_assembly_negative_control():
-    v = torsion.lantern_assembly(4, identity(4))
-    assert not v.passed
-    assert set(v.details) == {"lhs_word", "rhs_word", "lhs_matrix", "rhs_matrix"}
-    assert v.details["lhs_word"] == "Tc1"
-    assert v.details["lhs_matrix"] != v.details["rhs_matrix"]
-    v = torsion.lantern_assembly(3, identity(3))
-    assert not v.passed
-    assert lantern_assembly_check(4).details == {}
+def test_lantern_assembly_negative_control(monkeypatch):
+    # f3 replaced by the identity in the listed set
+    for g in (3, 4):
+        _with_matrix(monkeypatch, g, 3, identity(g))
+        v = lantern_assembly_check(g)
+        assert not v.passed
+        assert set(v.details) == {"lhs_word", "rhs_word", "lhs_matrix", "rhs_matrix"}
+        assert v.details["lhs_word"] == "Tc1"
+        assert v.details["lhs_matrix"] != v.details["rhs_matrix"]
+        monkeypatch.undo()
+        assert lantern_assembly_check(g).details == {}
 
 
 @pytest.mark.parametrize("g, p", [(4, 2), (3, 3)])
@@ -358,27 +387,56 @@ def _clear_builders():
 
 
 def test_each_identity_runs_once(monkeypatch, capsys):
-    # each identity is computed by the verdict that reports it, not again at build time
+    # each identity is computed by the verdict that reports it, not at build time
     calls = Counter()
 
-    def counted(name, real):
+    def counted(module, name):
+        real = getattr(module, name)
+
         def wrapper(*args):
             calls[name] += 1
             return real(*args)
-        return wrapper
 
-    for name in ("luo_decomposition", "lantern_assembly"):
-        wrapper = counted(name, getattr(torsion, name))
-        monkeypatch.setattr(torsion, name, wrapper)
-        monkeypatch.setattr(theorem, name, wrapper)
-    for name in ("product_sides", "rewritten_sides"):
-        monkeypatch.setattr(curves.LanternConfig, name,
-                            counted(name, getattr(curves.LanternConfig, name)))
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("luo_decomposition_check", "lantern_assembly_check"):
+        counted(theorem, name)
+    for name in ("check_chain", "check_lantern"):
+        counted(words, name)
     _clear_builders()
+    theorem_generators(4), curves.lantern_configuration(4), curves.chain_configuration(4, 4)
+    assert not calls
     assert cli.main(["--genus", "4", "--output", "structured"]) == 0
     assert json.loads(capsys.readouterr().out)["report"]["passed"]
-    assert calls == {"luo_decomposition": 1, "lantern_assembly": 1,
-                     "product_sides": 1, "rewritten_sides": 1}
+    assert calls == {"luo_decomposition_check": 1, "lantern_assembly_check": 1,
+                     "check_chain": 3, "check_lantern": 1}
+
+
+@pytest.mark.parametrize("g", (4, 5))
+def test_c3_off_the_handle_shift_fails_only_the_orbit(monkeypatch, capsys, g):
+    # c3 = alpha_3 - alpha_4 passes every build check and fits every declared
+    # intersection, but its orbit word s f3 a1 lands on s c2 = alpha_3 + alpha_4
+    real = curves._build_system
+
+    def flipped(genus, c_signs):
+        return real(genus, c_signs[:2] + ((1, -1),) + c_signs[3:])
+
+    monkeypatch.setattr(curves, "_build_system", flipped)
+    _clear_builders()
+    try:
+        status = cli.main(["--genus", str(g), "--output", "structured"])
+        report = json.loads(capsys.readouterr().out)["report"]
+    finally:
+        monkeypatch.undo()
+        _clear_builders()
+    assert status == 1
+    assert report["convention"]["c_class_signs"][2] == [1, -1]
+    checks = report["checks"]
+    assert checks["relations"]["passed"] and checks["torsion"]["passed"]
+    section = checks["theorem"]
+    assert section["luo"]["status"] == section["lantern_assembly"]["status"] == "pass"
+    assert section["orbit"]["status"] == "fail"
+    assert section["orbit"]["details"]["missing"] == ["c3"]
 
 
 @pytest.mark.parametrize("args, orders", [

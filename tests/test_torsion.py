@@ -1,8 +1,11 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from mcgtorsion.curves import lickorish_system
 from mcgtorsion.symplectic import alpha, beta, element_order, identity, zero_class
-from mcgtorsion import theorem, torsion
+from mcgtorsion import curves, theorem, torsion
 from mcgtorsion.torsion import (
     LANTERN_ROTATION_BLOCK,
     TorsionCertificate,
@@ -59,8 +62,8 @@ def test_f2f1_sends_c1_to_c2():
     for g in (3, 4, 7):
         prod = build_f2(g).matrix @ build_f1(g).matrix
         system = lickorish_system(g)
-        img = prod.apply(system.cls("c1")).coords
-        c2 = system.cls("c2").coords
+        img = prod.apply(system.curve("c1").cls).coords
+        c2 = system.curve("c2").cls.coords
         assert img == c2 or img == tuple(-x for x in c2)
 
 
@@ -276,3 +279,22 @@ def test_lantern_rotation_block_sign_flip_is_not_symplectic(monkeypatch, entry):
     for g in (3, 4):
         with pytest.raises(ValueError, match="symplectic"):
             build_f3.__wrapped__(g)
+
+
+def _imported_names(module):
+    """Every dotted name an import statement of the module's source mentions."""
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            yield base
+            yield from (f"{base}.{a.name}" for a in node.names)
+
+
+@pytest.mark.parametrize("module", (curves, torsion))
+def test_builders_import_no_verdict_module(module):
+    # curves and torsion only build; every identity is computed by the
+    # verdict in words or theorem that reports it
+    parts = {part for name in _imported_names(module) for part in name.split(".")}
+    assert not parts & {"words", "theorem"}, sorted(_imported_names(module))
