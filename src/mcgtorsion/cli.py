@@ -66,10 +66,8 @@ def _eval_word(g, text):
 
     assignment = twist_assignment(g)
     if g >= 3:
-        certs = theorem_generators(g)
-        assignment["F1"] = certs[0].matrix
-        assignment["F2"] = certs[1].matrix
-        assignment["F3"] = certs[3].matrix
+        gens = {c.name: c.matrix for c in theorem_generators(g)}
+        assignment.update(F1=gens["f1"], F2=gens["f2"], F3=gens["f3"])
         if g == 3:
             assignment["Sigma"] = sigma_matrix()
     word = parse_word(text, known=set(assignment))

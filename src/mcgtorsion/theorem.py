@@ -2,15 +2,17 @@
 
 Checks, per genus: the exact order of each torsion generator and of the
 handle shift f2 f1, the Luo decomposition of Ta2 Ta1^-1 into f2 and the
-set's third generator, an involution, the assembly of T_c1 from conjugates
-of Ta2 Ta1^-1 by the order-3 element, the single-orbit property of the
+involution Ta1 f2 Ta1^-1, the assembly of T_c1 from conjugates of
+Ta2 Ta1^-1 by the order-3 element f3, the single-orbit property of the
 Lickorish classes under the torsion group, and finite certificates that
 the generator images span the full symplectic group over a small prime.
 Each identity is computed here, by the function that reports it, from
-the generators theorem_generators lists.  The orbit property is
-certified by the paper's own words: a fixed generator word per curve,
-applied to a_1 and compared with the curve's class, so it needs no search
-and always decides pass or fail.
+the generators theorem_generators lists, each read by the name the report
+prints: their order only orders the report's lists, and a set without a
+name a verdict reads raises KeyError.  The orbit property is certified
+by the paper's own words: a fixed generator word per curve, applied to
+a_1 and compared with the curve's class, so it needs no search and always
+decides pass or fail.
 
 The mod-p certificate is exact order when p = 2 and |Sp(2g, 2)| is at
 most EXACT_ORDER_LIMIT, which for g >= 3 holds at g = 3 alone:
@@ -71,28 +73,32 @@ class OrbitSet(Frozen):
         return len(self.classes)
 
 
-def lickorish_words(g, names):
+def _by_name(g):
+    """Name -> matrix of the generators theorem_generators(g) lists."""
+    return {c.name: c.matrix for c in theorem_generators(g)}
+
+
+def lickorish_words(g):
     """The paper's word carrying a1 to each Lickorish curve, in application order.
 
-    names are the generator names of theorem_generators(g).  With the handle
-    shift s = f2 f1 (i -> i+1): a_i = s^(i-1) a1; c_i = s^(i-2) f3 a1, since
+    Words are spelled in generator names.  With the handle shift
+    s = f2 f1 (i -> i+1): a_i = s^(i-1) a1; c_i = s^(i-2) f3 a1, since
     f3 cycles a1 -> c2 -> a3; b_i = s^(i-4) f3 s^3 a1 for g >= 4, since f3
-    sends a4 to b4; and at g = 3, b_i = s^(i-2) tau s^2 a1, since tau sends
-    a3 to -b2.  s^k is written as (f2 f1)^k or (f1 f2)^(g-k), whichever is
-    shorter.
+    sends a4 to b4; and at g = 3, b_i = s^(i-2) tau s^2 a1, since
+    tau = sigma^-1 f1 sigma sends a3 to -b2.  s^k is written as (f2 f1)^k
+    or (f1 f2)^(g-k), whichever is shorter.
     """
-    f1, f2, f3 = names[0], names[1], names[3]
-
     def shift(k):
         k %= g
-        return (f1, f2) * k if 2 * k <= g else (f2, f1) * (g - k)
+        return ("f1", "f2") * k if 2 * k <= g else ("f2", "f1") * (g - k)
 
     words = {f"a{i}": shift(i - 1) for i in range(1, g + 1)}
     if g >= 4:
-        words.update({f"b{i}": shift(3) + (f3,) + shift(i - 4) for i in range(1, g + 1)})
+        words.update({f"b{i}": shift(3) + ("f3",) + shift(i - 4) for i in range(1, g + 1)})
     else:
-        words.update({f"b{i}": shift(2) + (names[4],) + shift(i - 2) for i in range(1, g + 1)})
-    words.update({f"c{i}": (f3,) + shift(i - 2) for i in range(1, g)})
+        words.update({f"b{i}": shift(2) + ("sigma^-1 f1 sigma",) + shift(i - 2)
+                      for i in range(1, g + 1)})
+    words.update({f"c{i}": ("f3",) + shift(i - 2) for i in range(1, g)})
     return words
 
 
@@ -108,10 +114,8 @@ def property1_orbit_check(g):
     6g products in all.  Returns the verdict and the OrbitSet of endpoints,
     whose depth is the longest word.
     """
-    certs = theorem_generators(g)
-    names = [c.name for c in certs]
-    by_name = {c.name: c.matrix for c in certs}
-    words = lickorish_words(g, names)
+    by_name = _by_name(g)
+    words = lickorish_words(g)
     root = (alpha(1, g), {})
     reached = set()
     witnesses = {}
@@ -129,22 +133,22 @@ def property1_orbit_check(g):
             witnesses[u.name] = list(words[u.name])
         else:
             missing.append(u.name)
-    details = {"generators": names, "missing": sorted(missing), "witnesses": witnesses}
+    details = {"generators": list(by_name), "missing": sorted(missing), "witnesses": witnesses}
     depth = max(len(w) for w in words.values())
     verdict = Verdict(f"orbit(g={g})", "fail" if missing else "pass", details)
     return verdict, OrbitSet(g, frozenset(reached), depth, False)
 
 
 def luo_decomposition_check(g):
-    """Ta2 Ta1^-1 = f2 F4, with F4 the set's third generator, an involution.
+    """Ta2 Ta1^-1 = f2 F4, with F4 the listed generator Ta1 f2 Ta1^-1, an involution.
 
-    f2 and F4 are read from theorem_generators(g), so a pass writes
+    f2 and F4 are read by name from theorem_generators(g), so a pass writes
     Ta2 Ta1^-1 in the listed generators; since Ta2 = f2 Ta1 f2, it also
-    proves F4 = Ta1 f2 Ta1^-1.  The product f2 F4 is formed once, and a
-    failure reports it under both middle_matrix and rhs_matrix.
+    proves that F4 is Ta1 f2 Ta1^-1.  The product f2 F4 is formed once, and
+    a failure reports it under both middle_matrix and rhs_matrix.
     """
-    certs = theorem_generators(g)
-    f2, f4 = certs[1].matrix, certs[2].matrix
+    gens = _by_name(g)
+    f2, f4 = gens["f2"], gens["Ta1 f2 Ta1^-1"]
     system = lickorish_system(g)
     target = system.curve("a2").twist @ system.curve("a1").twist.inv()
     middle = f2 @ f4
@@ -161,8 +165,8 @@ def luo_decomposition_check(g):
 
 
 def lantern_assembly_check(g):
-    """T_c1 = (Ta2 Ta1^-1) f3(...)f3^-1 f3^2(...)f3^-2, with f3 the set's order-3 generator."""
-    f3 = theorem_generators(g)[3].matrix
+    """T_c1 = (Ta2 Ta1^-1) f3(...)f3^-1 f3^2(...)f3^-2, with f3 the listed generator f3."""
+    f3 = _by_name(g)["f3"]
     system = lickorish_system(g)
     e = system.curve("a2").twist @ system.curve("a1").twist.inv()
     f3i = f3.inv()
@@ -422,10 +426,11 @@ def full_theorem_report(g, prime=None, with_witnesses=False, checks=None):
 
     if "torsion" in checks:
         certs = theorem_generators(g)
+        gens = _by_name(g)
         t0 = perf_counter()
         order_failures = [c.name for c in certs
                           if element_order(c.matrix, c.claimed_order) != c.claimed_order]
-        f2f1_order = element_order(certs[1].matrix @ certs[0].matrix, g)
+        f2f1_order = element_order(gens["f2"] @ gens["f1"], g)
         ok = f2f1_order == g and not order_failures
         section = {
             "passed": ok,

@@ -7,7 +7,7 @@ the four-holed sphere spanning handles 1..3 (cycling the boundary curves
 a_1 -> c_2 -> a_3 and the interior curves a_2 -> y -> z) and acts on each
 remaining handle by the order-3 map alpha -> beta -> -alpha-beta.  One
 builder, build_f3, makes it at every genus g >= 3; at g = 3 there is no
-remaining handle, and build_genus3_extras adds tau to it.
+remaining handle, and build_genus3_extras builds the fifth involution tau.
 
 Pictures pin these maps down only up to orientation, so the matrices are
 stated as conventions: f1 and f2 act by -1 times a handle permutation
@@ -252,9 +252,8 @@ def sigma_matrix():
 
 @lru_cache(maxsize=None)
 def build_genus3_extras():
-    """The genus-3 pieces: f3 (build_f3(3)) and the extra involution tau."""
+    """The extra involution tau = sigma^-1 f1 sigma of the genus-3 set."""
     g = 3
-    f3 = build_f3(g)
     sigma = sigma_matrix()
     for i in (1, 2):
         if sigma.apply(alpha(i, g)).coords != alpha(i, g).coords:
@@ -265,7 +264,7 @@ def build_genus3_extras():
     target = tau_action.get("a3")
     if target is None or not target[0].startswith("b"):
         raise AssertionError("tau does not send a3 to a longitude class")
-    return f3, TorsionCertificate(
+    return TorsionCertificate(
         "sigma^-1 f1 sigma", tau_m, 2, tau_action,
         {"a3_image": f"{'-' if target[1] < 0 else ''}{target[0]}"},
     )
@@ -273,10 +272,8 @@ def build_genus3_extras():
 
 @lru_cache(maxsize=None)
 def theorem_generators(g):
-    """Certificates of the theorem's generating set in statement order; built once per genus."""
+    """The generating set's certificates, in the order reports list; roles are read by name."""
     if g < 3:
         raise ValueError(f"the torsion generating sets need genus >= 3, got {g}")
-    certs = (build_f1(g), build_f2(g), conjugated_involution(g))
-    if g >= 4:
-        return certs + (build_f3(g),)
-    return certs + build_genus3_extras()
+    certs = (build_f1(g), build_f2(g), conjugated_involution(g), build_f3(g))
+    return certs + (build_genus3_extras(),) if g == 3 else certs

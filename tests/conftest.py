@@ -5,7 +5,8 @@ expected values asserted in the tests do not depend on the code paths
 under test.  The reference implementations the engine is compared against
 live here too, since no verdict reads them: the symplectic form, the
 commutation and braid relations by twist products, the conjugacy identity,
-the orbit BFS and the report's byte-stable portion.
+the orbit BFS and the report's byte-stable portion.  swap_generator
+builds the negative controls that alter one named generator.
 """
 
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from mcgtorsion import theorem, torsion  # noqa: E402
 from mcgtorsion.symplectic import HomologyClass, transvection  # noqa: E402
 from mcgtorsion.theorem import OrbitSet  # noqa: E402
 from mcgtorsion.words import _equality  # noqa: E402
@@ -154,6 +156,23 @@ def orbit_closure(generators, seeds, cap, targets=None):
             depth += 1
         frontier = sorted(nxt)
     return OrbitSet(genus, frozenset(seen), depth, False)
+
+
+def swap_generator(monkeypatch, g, name, **fields):
+    """Make theorem.theorem_generators(g) list the named certificate with fields replaced.
+
+    fields are TorsionCertificate keywords (matrix, claimed_order, ...);
+    every other certificate, and the listed order, is the built set's.
+    """
+    def swap(c):
+        kwargs = {"name": c.name, "matrix": c.matrix, "claimed_order": c.claimed_order,
+                  "curve_action": c.curve_action, "notes": c.notes}
+        return torsion.TorsionCertificate(**dict(kwargs, **fields))
+
+    certs = torsion.theorem_generators(g)
+    assert name in [c.name for c in certs], name
+    swapped = tuple(swap(c) if c.name == name else c for c in certs)
+    monkeypatch.setattr(theorem, "theorem_generators", lambda _g: swapped)
 
 
 def comparable_json(env):

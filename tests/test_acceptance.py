@@ -8,9 +8,8 @@ import random
 import resource
 import time
 
-from conftest import comparable_json
+from conftest import comparable_json, swap_generator
 from mcgtorsion import report as report_mod
-from mcgtorsion import theorem
 from mcgtorsion.curves import lickorish_system
 from mcgtorsion.symplectic import (
     HomologyClass,
@@ -27,11 +26,7 @@ from mcgtorsion.theorem import (
     modp_transitivity,
     property1_orbit_check,
 )
-from mcgtorsion.torsion import (
-    TorsionCertificate,
-    build_genus3_extras,
-    theorem_generators,
-)
+from mcgtorsion.torsion import build_genus3_extras, theorem_generators
 from mcgtorsion.words import (
     check_lantern,
     evaluate,
@@ -65,15 +60,15 @@ def test_criterion_2_torsion_certificates():
     t0 = time.perf_counter()
     recorded = None
     for g in range(3, 9):
-        certs = theorem_generators(g)
-        f1, f2 = certs[0], certs[1]
+        certs = {c.name: c for c in theorem_generators(g)}
+        f1, f2 = certs["f1"], certs["f2"]
         assert (f1.matrix @ f1.matrix).is_identity
         assert (f2.matrix @ f2.matrix).is_identity
         assert element_order(f2.matrix @ f1.matrix, 2 * g) == g
-        f3 = certs[3]
+        f3 = certs["f3"]
         assert f3.claimed_order == 3
         assert (f3.matrix ** 3).is_identity and not f3.matrix.is_identity
-    _, tau = build_genus3_extras()
+    tau = build_genus3_extras()
     assert (tau.matrix @ tau.matrix).is_identity
     target, sign = tau.curve_action["a3"]
     assert target.startswith("b")
@@ -89,13 +84,8 @@ def test_criterion_3_proof_replay(monkeypatch):
         assert luo_decomposition_check(g).passed
         assert lantern_assembly_check(g).passed
     # negative controls: f2, then f3, replaced by the identity in the listed set
-    certs = theorem_generators(4)
-    for index, check in ((1, luo_decomposition_check), (3, lantern_assembly_check)):
-        c = certs[index]
-        altered = list(certs)
-        altered[index] = TorsionCertificate(c.name, identity(4), c.claimed_order,
-                                            c.curve_action, c.notes)
-        monkeypatch.setattr(theorem, "theorem_generators", lambda _g: tuple(altered))
+    for name, check in (("f2", luo_decomposition_check), ("f3", lantern_assembly_check)):
+        swap_generator(monkeypatch, 4, name, matrix=identity(4))
         assert not check(4).passed
     monkeypatch.undo()
     elapsed = time.perf_counter() - t0

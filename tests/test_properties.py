@@ -284,8 +284,8 @@ def test_symplectic_check_matches_column_oracle(data, g, as_tuples):
 
 def _word_pool(g):
     """The Lickorish twists, f1, f2 and f3 at genus g, then their inverses."""
-    certs = theorem_generators(g)
-    mats = [u.twist for u in lickorish_system(g).curves] + [certs[i].matrix for i in (0, 1, 3)]
+    gens = {c.name: c.matrix for c in theorem_generators(g)}
+    mats = [u.twist for u in lickorish_system(g).curves] + [gens[n] for n in ("f1", "f2", "f3")]
     return mats + [m.inv() for m in mats]
 
 

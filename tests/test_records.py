@@ -15,7 +15,7 @@ from mcgtorsion.curves import (
 )
 from mcgtorsion.symplectic import HomologyClass, alpha, reduce_mod_p
 from mcgtorsion.theorem import OrbitSet, property1_orbit_check
-from mcgtorsion.torsion import TorsionCertificate, theorem_generators
+from mcgtorsion.torsion import TorsionCertificate, build_f1
 from mcgtorsion.words import Verdict
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -30,7 +30,7 @@ def _records():
         "LickorishSystem": lickorish_system(g),
         "LanternConfig": lantern_configuration(g),
         "ChainConfig": chain_configuration(3, g),
-        "TorsionCertificate": theorem_generators(g)[0],
+        "TorsionCertificate": build_f1(g),
         "Verdict": Verdict("x", "pass"),
         "OrbitSet": property1_orbit_check(g)[1],
         "ClosureResult": kernels.modp_closure(twists, 2),
@@ -67,7 +67,7 @@ def test_homology_class_value_semantics():
 def test_details_and_notes_default_to_fresh_dicts():
     a, b = Verdict("a", "pass"), Verdict("b", "pass")
     assert a.details == {} and a.details is not b.details
-    m = theorem_generators(3)[0].matrix
+    m = build_f1(3).matrix
     c, d = TorsionCertificate("c", m, 2, {}), TorsionCertificate("d", m, 2, {})
     assert c.notes == {} and c.notes is not d.notes
     assert OrbitSet(3, frozenset(), 0, False).size == 0

@@ -8,12 +8,12 @@ import time
 
 import pytest
 
-from conftest import comparable_json
+from conftest import comparable_json, ident, mm, swap_generator
 from mcgtorsion import cli, theorem
 from mcgtorsion import report as report_mod
 from mcgtorsion.symplectic import identity
 from mcgtorsion.theorem import full_theorem_report
-from mcgtorsion.torsion import TorsionCertificate
+from mcgtorsion.torsion import build_f1, sigma_matrix
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -303,6 +303,20 @@ def test_cli_eval_word():
     assert "word: Ta1 Tb1 Ta1" in proc.stdout
 
 
+@pytest.mark.parametrize("g, text", [(3, "F1 F2 F3"), (4, "F1 F2 F3"), (3, "Sigma")])
+def test_cli_eval_reads_generators_by_name(g, text):
+    # F1, F2 and F3 are the generators the report names f1, f2 and f3
+    gens = {c.name: c.matrix.to_lists() for c in theorem.theorem_generators(g)}
+    gens["sigma"] = sigma_matrix().to_lists()
+    product = ident(2 * g)
+    for letter in text.split():
+        product = mm(product, gens[letter.lower()])
+    proc = _run_cli("--genus", str(g), "--eval", text)
+    assert proc.returncode == 0
+    want = [f"word: {text}"] + [" ".join(f"{x:4d}" for x in row) for row in product]
+    assert proc.stdout.splitlines() == want
+
+
 def test_cli_eval_rejects_unknown_token():
     proc = _run_cli("--genus", "3", "--eval", "Bogus^2")
     assert proc.returncode == 2
@@ -366,10 +380,7 @@ def test_cli_witness_flag():
 def test_exit_status_reflects_verdicts(monkeypatch, capsys):
     # with f3 replaced by the identity the orbit words miss the b and c
     # curves: the run must exit 1 and name them
-    certs = [c if c.name != "f3" else TorsionCertificate(
-                 c.name, identity(4), c.claimed_order, c.curve_action, c.notes)
-             for c in theorem.theorem_generators(4)]
-    monkeypatch.setattr(theorem, "theorem_generators", lambda g: certs)
+    swap_generator(monkeypatch, 4, "f3", matrix=identity(4))
     assert cli.main(["--genus", "4", "--checks", "theorem"]) == 1
     text = capsys.readouterr().out
     assert "orbit(g=4): fail" in text
@@ -380,9 +391,7 @@ def test_exit_status_reflects_verdicts(monkeypatch, capsys):
 
 def test_f2f1_order_failure_fails_the_torsion_verdict(monkeypatch, capsys):
     # with f2 replaced by f1 every claimed order holds, but f2 f1 = I has order 1
-    certs = theorem.theorem_generators(4)
-    f2 = TorsionCertificate("f2", certs[0].matrix, 2, certs[1].curve_action, certs[1].notes)
-    monkeypatch.setattr(theorem, "theorem_generators", lambda g: (certs[0], f2) + certs[2:])
+    swap_generator(monkeypatch, 4, "f2", matrix=build_f1(4).matrix)
     assert cli.main(["--genus", "4", "--checks", "torsion", "--output", "structured"]) == 1
     section = json.loads(capsys.readouterr().out)["report"]["checks"]["torsion"]
     assert section["passed"] is False

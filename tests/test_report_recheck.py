@@ -74,7 +74,7 @@ def _problems(report):
         for u, (v, sign) in cert["curve_action"].items():
             if _apply(m, classes[u]) != [sign * x for x in classes[v]]:
                 problems.append(f"{name}: does not send {u} to {sign:+d} {v}")
-    f2f1 = _mul(certs[1]["matrix"], certs[0]["matrix"])
+    f2f1 = _mul(matrices["f2"], matrices["f1"])
     if _order(f2f1, g) != report["checks"]["torsion"]["f2f1_order"]:
         problems.append("F2 F1 does not have the stated order")
     witnesses = report["checks"]["theorem"]["orbit"]["details"]["witnesses"]
@@ -110,3 +110,11 @@ def test_recheck_negative_control_flipped_entry(g, capsys):
         u, (v, sign) = sorted(cert["curve_action"].items())[0]
         cert["curve_action"][u] = [v, -sign]
         assert _problems(tampered) == [f"{cert['name']}: does not send {u} to {-sign:+d} {v}"]
+
+
+@pytest.mark.parametrize("g", (3, 8))
+def test_recheck_reads_certificates_by_name(g, capsys):
+    # the re-check reads f1 and f2 by name, so the listed order is immaterial
+    report = _structured_report(g, capsys)
+    report["checks"]["torsion"]["certificates"].reverse()
+    assert _problems(report) == []

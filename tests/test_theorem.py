@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import orbit_closure
+from conftest import orbit_closure, swap_generator
 from mcgtorsion.curves import lickorish_system
 from mcgtorsion.kernels import modp_closure
 from mcgtorsion import cli, curves, theorem, torsion, words
@@ -20,7 +20,7 @@ from mcgtorsion.theorem import (
     property1_orbit_check,
     sp_modp_order,
 )
-from mcgtorsion.torsion import TorsionCertificate, theorem_generators
+from mcgtorsion.torsion import build_f2, conjugated_involution, theorem_generators
 
 
 @pytest.mark.parametrize("g", range(3, 9))
@@ -28,18 +28,9 @@ def test_luo_decomposition(g):
     assert luo_decomposition_check(g).passed
 
 
-def _with_matrix(monkeypatch, g, index, matrix):
-    """theorem.theorem_generators(g) with generator index given the matrix; returns the set."""
-    certs = list(theorem_generators(g))
-    c = certs[index]
-    certs[index] = TorsionCertificate(c.name, matrix, c.claimed_order, c.curve_action, c.notes)
-    monkeypatch.setattr(theorem, "theorem_generators", lambda _g: tuple(certs))
-    return certs
-
-
 def test_luo_negative_control(monkeypatch):
     # replacing f2 by the identity collapses the product f2 F4 to F4
-    certs = _with_matrix(monkeypatch, 4, 1, identity(4))
+    swap_generator(monkeypatch, 4, "f2", matrix=identity(4))
     v = luo_decomposition_check(4)
     assert not v.passed
     assert set(v.details) == {"equal", "conjugate_is_involution", "lhs_word",
@@ -47,7 +38,8 @@ def test_luo_negative_control(monkeypatch):
     assert not v.details["equal"] and v.details["conjugate_is_involution"]
     assert v.details["lhs_word"] == "Ta2 Ta1^-1"
     # the one product f2 F4 is reported under both keys
-    assert v.details["rhs_matrix"] == v.details["middle_matrix"] == certs[2].matrix.to_lists()
+    f4 = conjugated_involution(4).matrix
+    assert v.details["rhs_matrix"] == v.details["middle_matrix"] == f4.to_lists()
     assert v.details["lhs_matrix"] != v.details["middle_matrix"]
 
 
@@ -55,7 +47,7 @@ def test_luo_negative_control(monkeypatch):
 def test_luo_reads_the_listed_third_generator(monkeypatch, g):
     # f2 is an involution too, so every other check passes with it in
     # place of Ta1 f2 Ta1^-1; the Luo verdict reads the listed F4 and fails
-    _with_matrix(monkeypatch, g, 2, theorem_generators(g)[1].matrix)
+    swap_generator(monkeypatch, g, "Ta1 f2 Ta1^-1", matrix=build_f2(g).matrix)
     report, _ = full_theorem_report(g)
     assert report["passed"] is False
     checks = report["checks"]
@@ -76,7 +68,7 @@ def test_lantern_assembly(g):
 def test_lantern_assembly_negative_control(monkeypatch):
     # f3 replaced by the identity in the listed set
     for g in (3, 4):
-        _with_matrix(monkeypatch, g, 3, identity(g))
+        swap_generator(monkeypatch, g, "f3", matrix=identity(g))
         v = lantern_assembly_check(g)
         assert not v.passed
         assert set(v.details) == {"lhs_word", "rhs_word", "lhs_matrix", "rhs_matrix"}
@@ -84,6 +76,40 @@ def test_lantern_assembly_negative_control(monkeypatch):
         assert v.details["lhs_matrix"] != v.details["rhs_matrix"]
         monkeypatch.undo()
         assert lantern_assembly_check(g).details == {}
+
+
+@pytest.mark.parametrize("reorder", ("reversed", "rotated"))
+@pytest.mark.parametrize("g, prime, mode", [(3, 2, "exact-order"), (4, 2, "transitivity"),
+                                            (8, None, None)])
+def test_verdicts_read_generators_by_name(monkeypatch, g, prime, mode, reorder):
+    # a generating set is a set: listed in another order it passes every
+    # section, and only the report's generator lists follow the listed order
+    checks = {"torsion", "theorem"} | ({"modp"} if prime else set())
+    want, _ = full_theorem_report(g, prime=prime, checks=checks)
+    certs = theorem_generators(g)
+    listed = certs[::-1] if reorder == "reversed" else certs[1:] + certs[:1]
+    monkeypatch.setattr(theorem, "theorem_generators", lambda _g: listed)
+    report, _ = full_theorem_report(g, prime=prime, checks=checks)
+    assert report["passed"] is True
+    names = [c.name for c in listed]
+    torsion_section, theorem_section = report["checks"]["torsion"], report["checks"]["theorem"]
+    assert [c["name"] for c in torsion_section["certificates"]] == names
+    assert torsion_section["f2f1_order"] == g
+    assert theorem_section["orbit"]["details"]["generators"] == names
+    want_orbit = want["checks"]["theorem"]["orbit"]["details"]
+    assert theorem_section["orbit"]["details"]["witnesses"] == want_orbit["witnesses"]
+    assert theorem_section["luo"] == want["checks"]["theorem"]["luo"]
+    if prime:
+        assert report["checks"]["modp"]["mode"] == mode
+        assert report["checks"]["modp"]["generators"] == names
+
+
+@pytest.mark.parametrize("g", (3, 4))
+def test_theorem_section_without_f3_names_it(monkeypatch, g):
+    listed = tuple(c for c in theorem_generators(g) if c.name != "f3")
+    monkeypatch.setattr(theorem, "theorem_generators", lambda _g: listed)
+    with pytest.raises(KeyError, match="'f3'"):
+        full_theorem_report(g, checks={"theorem"})
 
 
 @pytest.mark.parametrize("g, p", [(4, 2), (3, 3)])
@@ -130,7 +156,7 @@ def _endpoint_and_matrix(g, word):
 @pytest.mark.parametrize("g", (*range(3, 17), 32))
 def test_prefix_shared_replay_matches_letter_by_letter(g):
     # the trie replay gives every curve the endpoint and word of a plain replay
-    words = lickorish_words(g, [c.name for c in theorem_generators(g)])
+    words = lickorish_words(g)
     verdict, orbit = property1_orbit_check(g)
     ends = set()
     for u in lickorish_system(g).curves:
@@ -162,9 +188,8 @@ def test_orbit_check_applies_each_prefix_once(monkeypatch, g):
 @pytest.mark.parametrize("g", range(3, 7))
 def test_orbit_words_land_in_bfs_orbit(g):
     # the words against the independent BFS: every endpoint is in the orbit of a1
-    certs = theorem_generators(g)
-    gens = [c.matrix for c in certs]
-    words = lickorish_words(g, [c.name for c in certs])
+    gens = [c.matrix for c in theorem_generators(g)]
+    words = lickorish_words(g)
     ends = {_endpoint_and_matrix(g, w)[0].canonical().coords for w in words.values()}
     orbit = orbit_closure(gens, [alpha(1, g)], cap=100_000, targets=ends)
     assert not orbit.exceeded
@@ -174,7 +199,7 @@ def test_orbit_words_land_in_bfs_orbit(g):
 @pytest.mark.parametrize("g", (3, 4, 5, 6, 7, 8, 12, 16))
 def test_orbit_words_conjugate_twists(g):
     # the paper's form: W T_a1 W^-1 = T_u for the word W of each curve u
-    words = lickorish_words(g, [c.name for c in theorem_generators(g)])
+    words = lickorish_words(g)
     ta1 = transvection(alpha(1, g))
     for u in lickorish_system(g).curves:
         _, w = _endpoint_and_matrix(g, words[u.name])
@@ -183,10 +208,7 @@ def test_orbit_words_conjugate_twists(g):
 
 @pytest.mark.parametrize("g", (4, 5))
 def test_orbit_negative_control_f3_identity(monkeypatch, g):
-    certs = [c if c.name != "f3" else TorsionCertificate(
-                 c.name, identity(g), c.claimed_order, c.curve_action, c.notes)
-             for c in theorem_generators(g)]
-    monkeypatch.setattr(theorem, "theorem_generators", lambda g: certs)
+    swap_generator(monkeypatch, g, "f3", matrix=identity(g))
     verdict, _ = property1_orbit_check(g)
     assert verdict.status == "fail"
     want = [f"b{i}" for i in range(1, g + 1)] + [f"c{i}" for i in range(1, g)]

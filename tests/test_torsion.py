@@ -6,9 +6,9 @@ import pytest
 from mcgtorsion.curves import lickorish_system
 from mcgtorsion.symplectic import alpha, beta, element_order, identity, zero_class
 from mcgtorsion import curves, theorem, torsion
+from conftest import swap_generator
 from mcgtorsion.torsion import (
     LANTERN_ROTATION_BLOCK,
-    TorsionCertificate,
     _check_pi_rotations,
     _signed_perm,
     build_f1,
@@ -101,8 +101,7 @@ def test_f3_rejects_small_genus():
 def test_f3_at_genus_3_is_the_generator_without_handle_blocks():
     # one builder at every genus: at g = 3 there is no handle 4..g to turn
     cert = build_f3(3)
-    assert cert is theorem_generators(3)[3]
-    assert cert is build_genus3_extras()[0]
+    assert {c.name: c for c in theorem_generators(3)}["f3"] is cert
     assert "handle_blocks" not in cert.notes
     assert "handle_blocks" in build_f3(4).notes
 
@@ -119,7 +118,7 @@ def test_f3_order3_block_on_complement_handles():
 
 
 def test_genus3_extras():
-    f3_local, tau = build_genus3_extras()
+    f3_local, tau = build_f3(3), build_genus3_extras()
     m = f3_local.matrix
     assert (m @ m @ m).is_identity and not m.is_identity
     # local form: no complement handles, so no alpha -> beta action
@@ -155,25 +154,15 @@ def test_certificates_verify_and_are_deterministic():
         assert [c.matrix.rows for c in certs1] == [c.matrix.rows for c in certs2]
 
 
-def _altered(cert, **fields):
-    kwargs = {"name": cert.name, "matrix": cert.matrix, "claimed_order": cert.claimed_order,
-              "curve_action": cert.curve_action, "notes": cert.notes}
-    return TorsionCertificate(**dict(kwargs, **fields))
-
-
 @pytest.mark.parametrize("g", (3, 4))
 def test_verify_rejects_false_certificates(monkeypatch, g):
     # a false claimed order fails the torsion verdict, which names the generator
-    certs = theorem_generators(g)
-    assert [certs[0].name, certs[3].name] == ["f1", "f3"]
-    for index, false_order in ((0, 4), (3, 2)):  # f1 has order 2, f3 order 3
-        altered = list(certs)
-        altered[index] = _altered(certs[index], claimed_order=false_order)
-        monkeypatch.setattr(theorem, "theorem_generators", lambda _g: tuple(altered))
+    for name, false_order in (("f1", 4), ("f3", 2)):  # f1 has order 2, f3 order 3
+        swap_generator(monkeypatch, g, name, claimed_order=false_order)
         report, _ = theorem.full_theorem_report(g, checks={"torsion"})
         section = report["checks"]["torsion"]
         assert report["passed"] is section["passed"] is False
-        assert section["order_failures"] == [certs[index].name]
+        assert section["order_failures"] == [name]
         assert section["f2f1_order"] == g
 
 
@@ -197,11 +186,8 @@ def test_certificate_orders_are_exact():
 
 def test_f3_fixes_c1_with_plus_sign():
     # the order-3 constraint forces the +1 sign; recorded in the notes
-    for g in (4, 5):
-        cert = build_f3(g)
-        assert cert.notes["c1_sign"] == 1
-    f3_local, _ = build_genus3_extras()
-    assert f3_local.notes["c1_sign"] == 1
+    for g in (3, 4, 5):
+        assert build_f3(g).notes["c1_sign"] == 1
 
 
 def _scan_action(m, classes):

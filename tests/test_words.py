@@ -68,8 +68,8 @@ def test_order_g_product_via_words():
     from mcgtorsion.symplectic import element_order
 
     for g in (3, 4, 5):
-        certs = theorem_generators(g)
-        assignment = {"F1": certs[0].matrix, "F2": certs[1].matrix}
+        gens = {c.name: c.matrix for c in theorem_generators(g)}
+        assignment = {"F1": gens["f1"], "F2": gens["f2"]}
         m = evaluate((("F2", 1), ("F1", 1)), assignment)
         assert element_order(m, 2 * g) == g
 
