@@ -13,12 +13,12 @@ orbit lengths is the exact group order and sifting decides membership.
 A matrix is held as the tuple of its column bitmasks (bit i of entry j is
 M[i][j], symplectic.pack_columns) and vectors as ints.  A product a b maps
 each column of b through a's `symplectic.half_tables`, two lookups per
-column, as the p = 2 vector orbit does.  The tables are built once per
-left factor; the left factors are the strong generators and the stored
-transversal inverses, so the tables are reused.  The image of a base e_k
-under a matrix is its column k, so no matrix-vector product is needed.
-The field is F_2 only: the mod-p certificate builds chains only in
-exact-order mode, which theorem.certificate_mode picks for p = 2 alone.
+column.  The tables are built once per left factor; the left factors are
+the strong generators and the stored transversal inverses, so the tables
+are reused.  The image of a base e_k under a matrix is its column k, so
+no matrix-vector product is needed.  The field is F_2 only: the mod-p
+certificate builds chains only in exact-order mode, which
+theorem.certificate_mode picks for p = 2 alone.
 
 Every element carries a word over the input generator indices: the word
 (i, j, k) stands for G_i G_j G_k.  An inverse G_i^-1 is written as

@@ -20,9 +20,8 @@ a view for serialization and printing.
 
 The F_2 helpers near the end hold a matrix mod 2 as its column bitmasks
 (pack_columns) and read its products from XOR lookup tables (xor_table).
-The stabilizer chain and the p = 2 vector orbit both use one layout,
-half_tables: one table over the alpha half of a vector, one over the beta
-half.
+The stabilizer chain uses them in one layout, half_tables: one table over
+the alpha half of a vector, one over the beta half.
 
 The package's record classes derive from Frozen instead of using
 dataclasses, whose import pulls in inspect, ast and dis and would be most

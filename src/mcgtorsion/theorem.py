@@ -32,6 +32,7 @@ the Torelli kernel are invisible by design.
 
 from __future__ import annotations
 
+from itertools import cycle
 from time import perf_counter
 
 from .chain import StabilizerChain
@@ -41,8 +42,6 @@ from .symplectic import (
     Frozen,
     alpha,
     element_order,
-    half_tables,
-    pack_columns,
     reduce_mod_p,
 )
 from .torsion import theorem_generators
@@ -58,7 +57,8 @@ CHECK_NAMES = ("relations", "torsion", "theorem", "modp")
 
 # the largest |Sp(2g, p)| certified by exact order
 EXACT_ORDER_LIMIT = 2_000_000
-# the most nonzero vectors the transitivity certificate's orbit stores
+# the most nonzero vectors the transitivity certificate's orbit covers; the
+# orbit stores sets of them as p^n-bit bitmaps, 128 KiB each at p = 2, n = 20
 TRANSITIVITY_LIMIT = 2_000_000
 
 
@@ -225,56 +225,111 @@ def _require_certificate(g, p, with_witnesses):
     return mode
 
 
-def _orbit_packed(mats, n):
-    """Vector orbit size over F_2 with each vector held as an int (bit k = entry k).
+def _elimination_ops(m, p):
+    """The invertible F_p matrix m as ops on a vector's coordinates, in the order they apply.
 
-    M v is read from the generator's two symplectic.half_tables, one over
-    the low n // 2 bits (the alpha half) and one over the rest (the beta
-    half).  Each level maps the whole frontier through one generator at a
-    time, and a bitmap of 2^n bytes marks the vectors seen.
+    An op (i, j, q), with i != j and q a 2x2 matrix over F_p, replaces
+    (v_i, v_j) by q (v_i, v_j): an addition v_j += c v_i, a swap, or a
+    scaling v_i *= c (paired with the next coordinate j, so m is n x n
+    with n >= 2).  Gauss-Jordan elimination reduces m to I by row ops
+    E_1 .. E_k, so m = E_1^-1 ... E_k^-1 and a vector meets E_k^-1 first.
+    A signed permutation, such as f1 and f2, needs only swaps and
+    scalings.  Raises ValueError when m is singular mod p.
     """
-    h = n // 2
-    low = (1 << h) - 1
-    maps = [half_tables(pack_columns(m)) for m in mats]
-    seen = bytearray(1 << n)
-    seen[1] = 1
-    size = 1
-    frontier = [1]
-    while frontier:
-        nxt = []
-        for t_alpha, t_beta in maps:
-            for img in [t_alpha[v & low] ^ t_beta[v >> h] for v in frontier]:
-                if not seen[img]:
-                    seen[img] = 1
-                    size += 1
-                    nxt.append(img)
-        frontier = nxt
-    return size
+    n = len(m)
+    rows = [[x % p for x in row] for row in m]
+    undo = []
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            raise ValueError(f"matrix is singular mod {p}")
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            undo.append((col, pivot, ((0, 1), (1, 0))))
+        c = rows[col][col]
+        if c != 1:
+            inv = pow(c, -1, p)
+            rows[col] = [x * inv % p for x in rows[col]]
+            undo.append((col, (col + 1) % n, ((c, 0), (0, 1))))
+        for r in range(n):
+            a = rows[r][col]
+            if a and r != col:
+                rows[r] = [(x - a * y) % p for x, y in zip(rows[r], rows[col])]
+                undo.append((col, r, ((1, 0), (a, 1))))
+    return undo[::-1]
 
 
-def _orbit_generic(mats, p, n):
-    """Vector orbit size over F_p with vectors as tuples, summing over nonzero entries."""
-    sparse = [[[(k, x) for k, x in enumerate(row) if x] for row in m] for m in mats]
-    seed = (1,) + (0,) * (n - 1)
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for m in sparse:
-                img = tuple(sum(x * v[k] for k, x in row) % p for row in m)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return len(seen)
+def _vector_orbit(mats, p):
+    """The orbit of e_1 under the n x n F_p matrices mats, as a bitmap of p^n bits.
+
+    Bit sum_k v_k p^k is set when the vector v is in the set, so e_1 is bit
+    1.  Each op of _elimination_ops acts on a whole bitmap at once: the
+    positions are split by their digits i and j (masks built once, by
+    doubling), each part is shifted by its digit change, and the parts are
+    ORed back together.  The orbit is the fixpoint of B |= M(B) over the
+    generators in turn; it stops early once B holds all p^n - 1 nonzero
+    vectors, which is exact because linear maps fix 0.
+    """
+    n = len(mats[0])
+    size = p ** n
+    full = (1 << size) - 1
+    digit = []
+    for k in range(n):
+        step = p ** k
+        masks = []
+        for a in range(p):
+            mask, width = ((1 << step) - 1) << (a * step), step * p
+            while width < size:
+                mask |= mask << width
+                width *= 2
+            masks.append(mask & full)
+        digit.append(masks)
+    # op -> (keep, [(mask, left shift)], [(mask, right shift)]); generators share ops
+    compiled = {}
+    gens = []
+    for m in mats:
+        ops = _elimination_ops(m, p)
+        for op in ops:
+            if op in compiled:
+                continue
+            i, j, ((w, x), (y, z)) = op
+            keep, moves = 0, {}
+            for a in range(p):
+                for b in range(p):
+                    mask = digit[i][a] & digit[j][b]
+                    shift = (((w * a + x * b) % p - a) * p ** i
+                             + ((y * a + z * b) % p - b) * p ** j)
+                    if shift:
+                        moves[shift] = moves.get(shift, 0) | mask
+                    else:
+                        keep |= mask
+            compiled[op] = (keep, [(mask, s) for s, mask in moves.items() if s > 0],
+                            [(mask, -s) for s, mask in moves.items() if s < 0])
+        gens.append([compiled[op] for op in ops])
+    nonzero = full ^ 1
+    orbit, unchanged = 2, 0
+    for gen in cycle(gens):
+        if orbit == nonzero or unchanged == len(gens):
+            break
+        image = orbit
+        for keep, ups, downs in gen:
+            out = image & keep
+            for mask, s in ups:
+                out |= (image & mask) << s
+            for mask, s in downs:
+                out |= (image & mask) >> s
+            image = out
+        grown = orbit | image
+        unchanged = unchanged + 1 if grown == orbit else 0
+        orbit = grown
+    return orbit
 
 
 def modp_transitivity(generators, p):
     """Transitivity on the p^n - 1 nonzero vectors, by the orbit of the first basis vector.
 
-    The orbit stores every vector it reaches, so it raises ValueError
-    unless p is 2 or 3 and p^n - 1 <= TRANSITIVITY_LIMIT.
+    The orbit is a bitmap of p^n bits (_vector_orbit), so it raises
+    ValueError unless p is 2 or 3 and p^n - 1 <= TRANSITIVITY_LIMIT.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -285,7 +340,7 @@ def modp_transitivity(generators, p):
             f"transitivity needs p in (2, 3) with p^{n}-1 <= {TRANSITIVITY_LIMIT}, got p = {p}"
         )
     mats = [reduce_mod_p(m, p) for m in generators]
-    size = _orbit_packed(mats, n) if p == 2 else _orbit_generic(mats, p, n)
+    size = _vector_orbit(mats, p).bit_count()
     return Verdict(
         f"modp_transitivity(p={p})",
         "pass" if size == total else "fail",

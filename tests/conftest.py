@@ -5,7 +5,8 @@ expected values asserted in the tests do not depend on the code paths
 under test.  The reference implementations the engine is compared against
 live here too, since no verdict reads them: the symplectic form, the
 commutation and braid relations by twist products, the conjugacy identity,
-the orbit BFS and the report's byte-stable portion.  swap_generator
+the orbit BFS of curve classes, the vector orbit BFS over F_p and the
+report's byte-stable portion.  swap_generator
 builds the negative controls that alter one named generator.
 """
 
@@ -156,6 +157,33 @@ def orbit_closure(generators, seeds, cap, targets=None):
             depth += 1
         frontier = sorted(nxt)
     return OrbitSet(genus, frozenset(seen), depth, False)
+
+
+def vector_orbit_oracle(mats, p):
+    """The orbit of e_1 under matrices over F_p, as a set of tuples, by BFS.
+
+    Each image is summed entry by entry from the rows; the oracle for the
+    bitmap orbit of theorem.modp_transitivity.
+    """
+    n = len(mats[0])
+    seed = (1,) + (0,) * (n - 1)
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for m in mats:
+                img = tuple(sum(x * y for x, y in zip(row, v)) % p for row in m)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return seen
+
+
+def orbit_bitmap(vectors, p):
+    """The bitmap of a set of vectors over F_p: bit sum_k v_k p^k per vector."""
+    return sum(1 << sum(x * p ** k for k, x in enumerate(v)) for v in vectors)
 
 
 def swap_generator(monkeypatch, g, name, **fields):

@@ -6,15 +6,15 @@ from mcgtorsion.kernels import modp_closure
 from mcgtorsion.curves import lickorish_system
 from mcgtorsion.symplectic import identity, reduce_mod_p
 from mcgtorsion.theorem import (
-    _orbit_generic,
-    _orbit_packed,
+    _elimination_ops,
+    _vector_orbit,
     modp_certificate,
     modp_transitivity,
     sp_modp_order,
 )
 from mcgtorsion.torsion import theorem_generators
 
-from conftest import mm
+from conftest import mm, orbit_bitmap, vector_orbit_oracle
 
 
 def _twists(g, names=None):
@@ -100,23 +100,69 @@ def test_membership_witnesses_replay_g3():
         assert _replay(word, mats, 2) == reduce_mod_p(u.twist, 2)
 
 
+def _orbits_match_oracle(g, p, full):
+    """The bitmap orbit equals the BFS oracle's set: on the set without f3 and
+    on each generator alone, and on the full set when full is set; the full
+    set is transitive."""
+    certs = theorem_generators(g)
+    mats = [reduce_mod_p(c.matrix, p) for c in certs]
+    assert _vector_orbit(mats, p) == (1 << p ** (2 * g)) - 2  # every nonzero vector
+    without_f3 = [m for c, m in zip(certs, mats) if c.name != "f3"]
+    subsets = [without_f3] + [[m] for m in mats] + ([mats] if full else [])
+    for subset in subsets:
+        assert _vector_orbit(subset, p) == orbit_bitmap(vector_orbit_oracle(subset, p), p)
+
+
 @pytest.mark.parametrize("g", range(3, 11))
 def test_packed_orbit_matches_generic(g):
-    # one loop at every table width: two lookups per vector, over the alpha
-    # half (2^g entries) and the beta half; g = 10 is the largest genus the
-    # CLI accepts at p = 2
-    certs = theorem_generators(g)
-    mats = [reduce_mod_p(c.matrix, 2) for c in certs]
+    # the oracle stores every vector as a tuple, so the full set is compared
+    # up to g = 6; g = 10 is the largest genus the CLI accepts at p = 2
+    _orbits_match_oracle(g, 2, full=g <= 6)
+
+
+@pytest.mark.parametrize("g", (3, 4))
+def test_packed_orbit_matches_generic_mod3(g):
+    _orbits_match_oracle(g, 3, full=True)
+
+
+def _replay_ops(ops, v, p):
+    v = list(v)
+    for i, j, ((w, x), (y, z)) in ops:
+        v[i], v[j] = (w * v[i] + x * v[j]) % p, (y * v[i] + z * v[j]) % p
+    return v
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("g", range(3, 9))
+def test_elimination_ops_replay_each_generator(g, p):
+    # applied to e_k, the ops give column k of M mod p
     n = 2 * g
-    assert _orbit_packed(mats, n) == 2 ** n - 1
-    if g <= 6:  # the tuple orbit of all 2^n - 1 vectors is slow above g = 6
-        assert _orbit_generic(mats, 2, n) == 2 ** n - 1
-    # partial orbits: without f3 (at g >= 4 the a_i up to sign), and each generator alone
-    without_f3 = [m for c, m in zip(certs, mats) if c.name != "f3"]
-    if g >= 4:
-        assert _orbit_packed(without_f3, n) == g
-    for subset in [without_f3] + [[m] for m in mats]:
-        assert _orbit_packed(subset, n) == _orbit_generic(subset, 2, n)
+    for c in theorem_generators(g):
+        m = reduce_mod_p(c.matrix, p)
+        ops = _elimination_ops(m, p)
+        for k in range(n):
+            unit = [int(i == k) for i in range(n)]
+            assert _replay_ops(ops, unit, p) == [row[k] for row in m], (c.name, k)
+
+
+def test_elimination_ops_of_signed_permutations_are_swaps_and_scalings():
+    # f1 and f2 permute the basis up to sign: no op adds one coordinate to another
+    for p in (2, 3):
+        for c in theorem_generators(6):
+            if c.name in ("f1", "f2"):
+                for _, _, q in _elimination_ops(reduce_mod_p(c.matrix, p), p):
+                    assert q[1][0] == 0 or q == ((0, 1), (1, 0)), (c.name, q)
+    assert _elimination_ops(reduce_mod_p(identity(3), 3), 3) == []
+
+
+@pytest.mark.parametrize("m,p", [
+    (((1, 1), (1, 1)), 2),
+    (((1, 2), (2, 1)), 3),                    # det -3
+    (((1, 0, 0), (0, 0, 0), (0, 0, 1)), 3),  # a zero row
+])
+def test_elimination_rejects_singular_matrix(m, p):
+    with pytest.raises(ValueError, match="singular"):
+        _elimination_ops(m, p)
 
 
 @pytest.mark.parametrize("g", (4, 6, 8))
@@ -124,7 +170,7 @@ def test_transitivity_negative_control_without_f3(g, monkeypatch):
     # f1, f2 and Ta1 f2 Ta1^-1 only permute a_1 .. a_g up to sign
     certs = [c for c in theorem_generators(g) if c.name != "f3"]
     mats = [reduce_mod_p(c.matrix, 2) for c in certs]
-    assert _orbit_packed(mats, 2 * g) == g
+    assert _vector_orbit(mats, 2).bit_count() == g
     monkeypatch.setattr(theorem, "theorem_generators", lambda genus: certs)
     section = modp_certificate(g, 2)
     assert section["mode"] == "transitivity"
@@ -133,9 +179,30 @@ def test_transitivity_negative_control_without_f3(g, monkeypatch):
     assert not section["passed"]
 
 
+@pytest.mark.parametrize("g,size", [(3, 24), (4, 8), (5, 10)])
+def test_transitivity_negative_control_without_f3_mod3(g, size, monkeypatch):
+    # mod 3 the a_i keep their signs apart: 2g vectors at g >= 4; at g = 3,
+    # where sigma^-1 f1 sigma joins, the nonzero vectors of each handle, 3 x 8
+    certs = [c for c in theorem_generators(g) if c.name != "f3"]
+    monkeypatch.setattr(theorem, "theorem_generators", lambda genus: certs)
+    section = modp_certificate(g, 3)
+    assert section["mode"] == "transitivity"
+    assert section["orbit"] == {"orbit_size": size, "nonzero_vectors": 3 ** (2 * g) - 1}
+    assert not section["transitive"]
+    assert not section["passed"]
+
+
+def test_modp_certificate_mod3_g6():
+    # the largest orbit the CLI accepts at p = 3
+    section = modp_certificate(6, 3)
+    assert section["mode"] == "transitivity"
+    assert section["orbit"] == {"orbit_size": 531_440, "nonzero_vectors": 531_440}
+    assert section["passed"]
+
+
 def test_packed_orbit_bitmap_is_bounded(monkeypatch):
-    # the orbit stores every vector: n = 20 at p = 2 and n = 12 at p = 3 are
-    # the largest TRANSITIVITY_LIMIT admits
+    # the orbit stores a bitmap of p^n bits: n = 20 at p = 2 and n = 12 at
+    # p = 3 are the largest TRANSITIVITY_LIMIT admits
     assert modp_transitivity([identity(10)], 2).details == {
         "orbit_size": 1, "nonzero_vectors": 2 ** 20 - 1}
     assert modp_transitivity([identity(6)], 3).details == {
@@ -144,8 +211,8 @@ def test_packed_orbit_bitmap_is_bounded(monkeypatch):
     def no_orbit(*args):
         raise AssertionError("an orbit ran before the size guard")
 
-    monkeypatch.setattr(theorem, "_orbit_packed", no_orbit)
-    monkeypatch.setattr(theorem, "_orbit_generic", no_orbit)
+    monkeypatch.setattr(theorem, "_vector_orbit", no_orbit)
+    monkeypatch.setattr(theorem, "_elimination_ops", no_orbit)
     with pytest.raises(ValueError):
         modp_transitivity([identity(11)], 2)
     with pytest.raises(ValueError):

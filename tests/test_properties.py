@@ -1,8 +1,8 @@
 """Property tests: the closure oracle against the stabilizer chain, words,
 inverses, the exact product, the matrix action, the symplectic check and the
 mod-p reduction against plain oracles, the pairing decider of the
-commutation and braid relations against twist products, and the determinism
-of the sign solver."""
+commutation and braid relations against twist products, the bitmap vector
+orbit against the BFS oracle, and the determinism of the sign solver."""
 
 from functools import lru_cache
 from unittest import mock
@@ -17,9 +17,11 @@ from conftest import (
     ident,
     mm,
     moved_rows,
+    orbit_bitmap,
     symplectic_form,
     symplectic_oracle,
     tv,
+    vector_orbit_oracle,
 )
 from mcgtorsion import kernels, theorem
 from mcgtorsion.chain import StabilizerChain
@@ -397,3 +399,22 @@ def test_sign_solver_is_deterministic(g):
     assert fresh.c_signs == lickorish_system(g).c_signs
     with mock.patch.object(theorem, "lickorish_system", lambda _: fresh):
         assert convention_record(g) == record
+
+
+def _orbit_pool(g):
+    """The Lickorish twists, then from g = 3 on the theorem's generators."""
+    pool = [u.twist for u in lickorish_system(g).curves]
+    return pool + ([c.matrix for c in theorem_generators(g)] if g >= 3 else [])
+
+
+@PROPERTY
+@given(data=st.data(), g=st.integers(2, 4), p=st.sampled_from((2, 3)))
+def test_vector_orbit_matches_bfs_oracle(data, g, p):
+    pool = _orbit_pool(g)
+    subset = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4,
+                                unique=True))
+    mats = [reduce_mod_p(pool[k], p) for k in subset]
+    orbit = theorem._vector_orbit(mats, p)
+    assert orbit == orbit_bitmap(vector_orbit_oracle(mats, p), p)
+    verdict = theorem.modp_transitivity([pool[k] for k in subset], p)
+    assert verdict.details["orbit_size"] == orbit.bit_count()
