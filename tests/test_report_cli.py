@@ -13,7 +13,7 @@ from mcgtorsion import cli, theorem
 from mcgtorsion import report as report_mod
 from mcgtorsion.symplectic import identity
 from mcgtorsion.theorem import full_theorem_report
-from mcgtorsion.torsion import build_f1, sigma_matrix
+from mcgtorsion.torsion import _signed_perm, build_f1, sigma_matrix
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -401,6 +401,23 @@ def test_f2f1_order_failure_fails_the_torsion_verdict(monkeypatch, capsys):
     text = capsys.readouterr().out
     assert "[torsion] FAIL: 4 generators, order(f2*f1) = 1" in text
     assert "order not as claimed" not in text
+
+
+@pytest.mark.parametrize("g", (4, 5, 7))
+def test_shift_by_three_fails_the_orbit_and_luo_verdicts(monkeypatch, capsys, g):
+    # f2 sending handle i to 3-i is an involution, and f2 f1 is then the shift
+    # by 3, which still has order g: the torsion verdict passes, while the
+    # orbit words (powers of f2 f1) and the Luo identity catch the wrong shift
+    swap_generator(monkeypatch, g, "f2", matrix=_signed_perm(g, lambda i: 3 - i, -1))
+    assert cli.main(["--genus", str(g), "--output", "structured"]) == 1
+    checks = json.loads(capsys.readouterr().out)["report"]["checks"]
+    assert checks["relations"]["passed"] and checks["torsion"]["passed"]
+    assert checks["torsion"]["f2f1_order"] == g
+    section = checks["theorem"]
+    assert section["passed"] is False
+    assert section["orbit"]["status"] == section["luo"]["status"] == "fail"
+    assert "a2" in section["orbit"]["details"]["missing"]
+    assert section["lantern_assembly"]["status"] == "pass"
 
 
 def test_failed_identity_prints_words_and_matrices():

@@ -403,8 +403,8 @@ def test_full_report_builds_generators_once(monkeypatch):
 
 def _clear_builders():
     for cached in (curves.lickorish_system, curves.lantern_configuration,
-                   curves.chain_configuration, torsion._pi_rotations, torsion.build_f3,
-                   torsion.build_genus3_extras, torsion.theorem_generators):
+                   curves.chain_configuration, torsion.build_f1, torsion.build_f2,
+                   torsion.build_f3, torsion.build_genus3_extras, torsion.theorem_generators):
         cached.cache_clear()
 
 

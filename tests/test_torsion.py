@@ -9,7 +9,6 @@ from mcgtorsion import curves, theorem, torsion
 from conftest import swap_generator
 from mcgtorsion.torsion import (
     LANTERN_ROTATION_BLOCK,
-    _check_pi_rotations,
     _signed_perm,
     build_f1,
     build_f2,
@@ -17,7 +16,6 @@ from mcgtorsion.torsion import (
     build_genus3_extras,
     conjugated_involution,
     discover_action,
-    handle_shift,
     named_classes,
     sigma_matrix,
     theorem_generators,
@@ -40,16 +38,19 @@ def test_f2f1_has_order_exactly_g(g):
 
 
 def test_f2f1_is_the_handle_shift():
-    # the product is the cyclic shift up to one global sign
+    # both factors carry PI_ROTATION_SIGN, so the product is the +shift
     for g in (3, 5, 8):
         prod = build_f2(g).matrix @ build_f1(g).matrix
-        shift = handle_shift(g)
-        negated = tuple(tuple(-x for x in row) for row in shift.rows)
-        assert prod == shift or prod.rows == negated
+        assert prod == _signed_perm(g, lambda i: i + 1, 1)
         for i in range(1, g):
-            img = prod.apply(alpha(i, g)).coords
-            nxt = alpha(i + 1, g).coords
-            assert img == nxt or img == tuple(-x for x in nxt)
+            assert prod.apply(alpha(i, g)) == alpha(i + 1, g)
+
+
+def test_theorem_generators_list_the_built_pi_rotations():
+    for g in (3, 4, 6):
+        by_name = {c.name: c for c in theorem_generators(g)}
+        assert by_name["f1"] is build_f1(g)
+        assert by_name["f2"] is build_f2(g)
 
 
 def test_f2_sends_a1_to_a2():
@@ -219,41 +220,73 @@ def test_discover_action_keeps_first_match_order():
             assert cert.curve_action == _scan_action(cert.matrix, classes)
 
 
-def _rotations(g, s1, s2):
-    return _signed_perm(g, lambda i: -i, s1), _signed_perm(g, lambda i: 1 - i, s2)
+def _fixed_handle_error(name, i, g):
+    return rf"^{name} does not act by -I on fixed handle {i} at genus {g}$"
 
 
 @pytest.mark.parametrize("g", (3, 4, 5, 8))
-def test_pi_rotation_signs_are_pinned_by_the_fixed_handle_check(g):
-    # with both signs +1 f2 f1 is still the handle shift; f1 fixes handle 1 with +I
-    with pytest.raises(RuntimeError) as err:
-        _check_pi_rotations(g, *_rotations(g, 1, 1))
-    assert str(err.value).endswith("['-I on fixed handles']")
+def test_pi_rotation_signs_are_pinned_by_the_fixed_handle_check(monkeypatch, g):
+    # with sign +1 f2 f1 is still the handle shift; f1 fixes handle 1 with +I
+    monkeypatch.setattr(torsion, "PI_ROTATION_SIGN", 1)
+    with pytest.raises(RuntimeError, match=_fixed_handle_error("f1", 1, g)):
+        build_f1.__wrapped__(g)
 
 
 @pytest.mark.parametrize("g,s1,s2", [
     (3, 1, -1), (4, 1, -1), (8, 1, -1),   # f1 fixes handle 1 at every genus
     (3, -1, 1), (5, -1, 1),                 # f2 fixes handle (g+3)/2 at odd genus
 ])
-def test_pi_rotation_negative_controls(g, s1, s2):
-    with pytest.raises(RuntimeError, match="-I on fixed handles"):
-        _check_pi_rotations(g, *_rotations(g, s1, s2))
+def test_pi_rotation_negative_controls(monkeypatch, g, s1, s2):
+    # the builder of the pi-rotation signed +1 raises on its fixed handle
+    name, handle = ("f1", 1) if s1 == 1 else ("f2", (g + 3) // 2)
+    monkeypatch.setattr(torsion, "PI_ROTATION_SIGN", 1)
+    with pytest.raises(RuntimeError, match=_fixed_handle_error(name, handle, g)):
+        getattr(torsion, f"build_{name}").__wrapped__(g)
 
 
 @pytest.mark.parametrize("g", (3, 5, 7))
-def test_mixed_pi_rotation_signs_fail_at_odd_genus(g):
-    # f2 fixes handle (g+3)/2 with +I; and f2 f1 is then -shift, whose order
-    # is 2g at odd g, so the torsion verdict's order(f2 f1) = g would fail too
-    f1, f2 = _rotations(g, -1, 1)
-    with pytest.raises(RuntimeError, match="-I on fixed handles"):
-        _check_pi_rotations(g, f1, f2)
-    assert element_order(f2 @ f1, g) is None
+def test_mixed_pi_rotation_signs_fail_at_odd_genus(monkeypatch, g):
+    # f2 with sign +1 fixes handle (g+3)/2 with +I; and f2 f1 would then be
+    # -shift, whose order is 2g at odd g, so order(f2 f1) = g would fail too
+    f1 = build_f1(g).matrix
+    monkeypatch.setattr(torsion, "PI_ROTATION_SIGN", 1)
+    with pytest.raises(RuntimeError, match=_fixed_handle_error("f2", (g + 3) // 2, g)):
+        build_f2.__wrapped__(g)
+    assert element_order(_signed_perm(g, lambda i: 1 - i, 1) @ f1, g) is None
 
 
-def test_f2_sign_is_a_convention_at_even_genus():
-    # f2 fixes no handle and -shift has order g: the golden digests pin s2
-    _check_pi_rotations(4, *_rotations(4, -1, 1))
+def test_f2_sign_is_a_convention_at_even_genus(monkeypatch):
+    # f2 fixes no handle and -shift has order g: the golden digests pin its sign
+    f1s = {g: build_f1(g).matrix for g in (4, 6, 8)}
     assert build_f2(4).notes["global_sign"] == -1
+    monkeypatch.setattr(torsion, "PI_ROTATION_SIGN", 1)
+    for g, f1 in f1s.items():
+        f2 = build_f2.__wrapped__(g)
+        assert f2.notes["global_sign"] == 1
+        assert element_order(f2.matrix @ f1, g) == g
+
+
+@pytest.mark.parametrize("g", (3, 4, 6))
+def test_f3_check_rejects_a_wrong_cycle(monkeypatch, g):
+    # f3^2 has order 3 too, but cycles a1 -> a3 -> c2
+    assemble = torsion._assemble_f3
+    monkeypatch.setattr(torsion, "_assemble_f3", lambda h: assemble(h) @ assemble(h))
+    with pytest.raises(RuntimeError, match="does not cycle a1 -> c2 -> a3"):
+        build_f3.__wrapped__(g)
+
+
+def test_tau_check_rejects_a_sigma_that_keeps_handle_3(monkeypatch):
+    # with sigma = I, tau is f1, which sends a3 to -a2, not to a longitude
+    monkeypatch.setattr(torsion, "sigma_matrix", lambda: identity(3))
+    with pytest.raises(RuntimeError, match="tau does not send a3 to a longitude"):
+        build_genus3_extras.__wrapped__()
+
+
+def test_sigma_check_rejects_a_sigma_that_moves_a1(monkeypatch):
+    # f1 sends a1 to -a1
+    monkeypatch.setattr(torsion, "sigma_matrix", lambda: build_f1(3).matrix)
+    with pytest.raises(RuntimeError, match="sigma moves a1"):
+        build_genus3_extras.__wrapped__()
 
 
 @pytest.mark.parametrize("entry", [(0, 1), (2, 0), (4, 5)])
@@ -267,15 +300,19 @@ def test_lantern_rotation_block_sign_flip_is_not_symplectic(monkeypatch, entry):
             build_f3.__wrapped__(g)
 
 
+def _imports(tree):
+    """(from-module, alias) for each name an import statement binds; None for a plain import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((None, a) for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.module or "", a) for a in node.names)
+
+
 def _imported_names(module):
     """Every dotted name an import statement of the module's source mentions."""
-    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
-        if isinstance(node, ast.Import):
-            yield from (a.name for a in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            yield base
-            yield from (f"{base}.{a.name}" for a in node.names)
+    for base, a in _imports(ast.parse(Path(module.__file__).read_text())):
+        yield a.name if base is None else f"{base}.{a.name}"
 
 
 @pytest.mark.parametrize("module", (curves, torsion))
@@ -284,3 +321,14 @@ def test_builders_import_no_verdict_module(module):
     # verdict in words or theorem that reports it
     parts = {part for name in _imported_names(module) for part in name.split(".")}
     assert not parts & {"words", "theorem"}, sorted(_imported_names(module))
+
+
+# __init__ imports only to re-export, so it is not scanned
+@pytest.mark.parametrize("path", sorted(p for p in Path(torsion.__file__).parent.glob("*.py")
+                                        if p.name != "__init__.py"), ids=lambda p: p.name)
+def test_modules_use_every_import(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    bound = {(a.asname or a.name).split(".")[0]
+             for base, a in _imports(tree) if base != "__future__"}
+    assert not bound - used, sorted(bound - used)
