@@ -11,9 +11,10 @@ generator at every level sifts to the identity, so the product of the
 orbit lengths is the exact group order and sifting decides membership.
 
 A matrix is held as the tuple of its column bitmasks (bit i of entry j is
-M[i][j], symplectic.pack_columns) and vectors as ints.  A product a b maps
-each column of b through a's `symplectic.half_tables`, two lookups per
-column.  The tables are built once per left factor; the left factors are
+M[i][j], pack_columns) and vectors as ints.  A product a b maps each
+column of b through a's half_tables, two lookups per column: one XOR
+table (xor_table) over the alpha half of the column, one over the beta
+half.  The tables are built once per left factor; the left factors are
 the strong generators and the stored transversal inverses, so the tables
 are reused.  The image of a base e_k under a matrix is its column k, so
 no matrix-vector product is needed.  The field is F_2 only: the mod-p
@@ -23,14 +24,46 @@ theorem.certificate_mode picks for p = 2 alone.
 Every element carries a word over the input generator indices: the word
 (i, j, k) stands for G_i G_j G_k.  An inverse G_i^-1 is written as
 G_i^(ord(G_i) - 1), and runs of one index are folded modulo its order,
-so words use generator indices only.
+so words use generator indices only.  A folded word is the reduced word
+in the free product of the cyclic groups <G_i>, so where the folds happen
+does not change it: an element stores its word alone, and inverse words
+are formed only for a residue, from the transversals it was sifted by.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 
-from .symplectic import half_tables, pack_columns
+
+def xor_table(rows):
+    """table[r] = XOR of rows[k] over the bits k set in r, for r < 2^len(rows).
+
+    With rows the bitmasks of a matrix over F_2, table[r] is the product of
+    the bit vector r with that matrix, so a product costs one lookup.
+    """
+    table = [0] * (1 << len(rows))
+    for r in range(1, len(table)):
+        low = r & -r
+        table[r] = table[r ^ low] ^ rows[low.bit_length() - 1]
+    return table
+
+
+def pack_columns(rows):
+    """The columns of an integer matrix mod 2 as bitmasks: bit i of entry j is rows[i][j]."""
+    return tuple(sum((row[j] & 1) << i for i, row in enumerate(rows))
+                 for j in range(len(rows[0])))
+
+
+def half_tables(cols):
+    """The two lookup tables of the F_2 matrix M with column bitmasks cols.
+
+    With h = len(cols) // 2, the first table is over the low h bits of a
+    vector (the alpha half) and the second over the rest (the beta half),
+    so M v = first[v & (2^h - 1)] ^ second[v >> h]: two lookups, in tables
+    of at most 2^(n - h) entries.
+    """
+    h = len(cols) // 2
+    return xor_table(cols[:h]), xor_table(cols[h:])
 
 
 class _Level:
@@ -46,7 +79,7 @@ class _Level:
         self.k = k
         self.gens = []
         self.orbit = [base]
-        self.trans = {base: (ident, ident, (), ())}
+        self.trans = {base: (ident, ident, ())}
         self.done = [0]
 
 
@@ -55,7 +88,7 @@ class StabilizerChain:
 
     gens are square integer matrices given as sequences of rows, for
     example the output of symplectic.reduce_mod_p(m, 2); entries are read
-    mod 2.  Stored elements are tuples (matrix, inverse, word, inverse word).
+    mod 2.  Stored elements are tuples (matrix, inverse, word).
     """
 
     def __init__(self, gens):
@@ -70,7 +103,8 @@ class StabilizerChain:
         self._gens = [pack_columns(g) for g in gens]
         self._orders = [len(self._powers(g)) for g in self._gens]
         self._levels = []
-        first = [self._element(g, (i,)) for i, g in enumerate(self._gens) if g != self._ident]
+        first = [(g, self._powers(g)[-2], (i,))
+                 for i, g in enumerate(self._gens) if g != self._ident]
         if first:
             self._new_level(first[0][0])
             self._levels[0].gens.extend(first)
@@ -96,10 +130,10 @@ class StabilizerChain:
             powers.append(self._mul(mat, powers[-1]))
         return powers
 
-    def _element(self, mat, word):
-        """The stored element for a non-identity matrix with a known word."""
-        return (mat, self._powers(mat)[-2], word, self._fold(
-            x for x in reversed(word) for _ in range(self._orders[x] - 1)))
+    def _inverse(self, letters):
+        """The letters of the inverse word, unfolded: G_x^-1 is G_x^(ord(G_x) - 1)."""
+        orders = self._orders
+        return (x for x in reversed(tuple(letters)) for _ in range(orders[x] - 1))
 
     def _fold(self, letters):
         """Cancel every run of one index that reaches that generator's order."""
@@ -155,16 +189,16 @@ class StabilizerChain:
                 img = su[k]
                 t = trans.get(img)
                 if t is None:
-                    word = self._fold(s[2] + u[2])
-                    trans[img] = (su, mul(u[1], s[1]), word, self._fold(u[3] + s[3]))
+                    trans[img] = (su, mul(u[1], s[1]), self._fold(s[2] + u[2]))
                     orbit.append(img)
                     done.append(0)
                     continue
                 residue, end, used = self._strip(mul(t[1], su), i + 1)
                 if residue != self._ident:
-                    word = self._fold(chain(*(v[3] for v in reversed(used)),
-                                            t[3], s[2], u[2]))
-                    return self._element(residue, word), end
+                    # residue = (t v_1 ... v_m)^-1 s u over the transversals v_i used
+                    back = self._inverse(chain(t[2], *(v[2] for v in used)))
+                    word = self._fold(chain(back, s[2], u[2]))
+                    return (residue, self._powers(residue)[-2], word), end
             j += 1
         return None
 

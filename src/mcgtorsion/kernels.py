@@ -6,15 +6,19 @@ oracle for the stabilizer chains; no mcg-verify check runs it.
 
 A BFS state is the matrix itself.  At p = 2 it is a tuple of row bitmasks
 (bit j of row i is entry (i, j)), and each generator gets a
-`symplectic.xor_table`, so one product is n table lookups.  Otherwise it
-is a tuple of row tuples reduced mod p.
+`chain.xor_table`, so one product is n table lookups.  Otherwise it is a
+tuple of row tuples reduced mod p.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-from .symplectic import SMALL_PRIMES, Frozen, xor_table
+from .chain import xor_table
+from .symplectic import Frozen
+
+# the primes the closure accepts; it is the only enumeration at p >= 5
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 # perfbench/run.py's warm-up reads both names; there is only the pure closure.
 BACKEND = "pure"

@@ -21,6 +21,13 @@ def emit_json(env):
     return json.dumps(env, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _format_identity(det, lines):
+    """The two sides of a failing identity: each side's word, if it has one, and matrix."""
+    lines.append(f"    lhs: {det['lhs_word']} = {det.get('lhs_matrix')}")
+    rhs_word = f"{det['rhs_word']} = " if "rhs_word" in det else ""
+    lines.append(f"    rhs: {rhs_word}{det.get('rhs_matrix')}")
+
+
 def _format_check(name, section, lines):
     status = "ok" if section.get("passed") else "FAIL"
     if name == "relations":
@@ -29,8 +36,7 @@ def _format_check(name, section, lines):
             lines.append(f"  FAIL {failure['check']}")
             det = failure.get("details", {})
             if "lhs_word" in det:
-                lines.append(f"    lhs: {det['lhs_word']} = {det.get('lhs_matrix')}")
-                lines.append(f"    rhs: {det['rhs_word']} = {det.get('rhs_matrix')}")
+                _format_identity(det, lines)
     elif name == "torsion":
         lines.append(
             f"[torsion] {status}: {section['generator_count']} generators, "
@@ -59,8 +65,7 @@ def _format_check(name, section, lines):
                 if missing:
                     lines.append(f"    missing: {', '.join(missing)}")
             if sub["status"] == "fail" and "lhs_word" in det:
-                lines.append(f"    lhs: {det['lhs_word']} = {det.get('lhs_matrix')}")
-                lines.append(f"    rhs: {det.get('rhs_word')} = {det.get('rhs_matrix')}")
+                _format_identity(det, lines)
     elif name == "modp":
         lines.append(f"[modp] {status}: p = {section['p']}, mode = {section['mode']}")
         if section["mode"] == "exact-order":

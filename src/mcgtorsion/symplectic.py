@@ -15,13 +15,9 @@ twist moves at most two rows of at most three entries, so products,
 inverses, equality and the symplectic check cost O(nnz) rather than
 O(n^2).  Delta is canonical (no zero entry, no row equal to e_i), so two
 matrices are equal exactly when their Deltas are, and every matrix is
-checked to be symplectic once, on the Delta it stores.  The dense rows are
-a view for serialization and printing.
-
-The F_2 helpers near the end hold a matrix mod 2 as its column bitmasks
-(pack_columns) and read its products from XOR lookup tables (xor_table).
-The stabilizer chain uses them in one layout, half_tables: one table over
-the alpha half of a vector, one over the beta half.
+checked to be symplectic once, on the Delta it stores.  A matrix stores
+nothing else: the dense rows, for serialization and printing, are computed
+when read, and the hash is computed from Delta on each call.
 
 The package's record classes derive from Frozen instead of using
 dataclasses, whose import pulls in inspect, ast and dis and would be most
@@ -32,8 +28,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-
-SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 def _as_int_tuple(seq):
@@ -259,10 +253,10 @@ class SympMatrix(Frozen):
 
     delta is the canonical dict of moved rows described above the kernels;
     it is validated once, when the matrix is made, and is not to be
-    mutated.  The dense rows are a view computed on first use.
+    mutated.  The dense rows are computed when read.
     """
 
-    __slots__ = ("delta", "genus", "_hash", "_rows")
+    __slots__ = ("delta", "genus")
 
     def __init__(self, rows):
         rows = tuple(_as_int_tuple(r) for r in rows)
@@ -286,7 +280,7 @@ class SympMatrix(Frozen):
         """Check delta and fill the slots: every matrix is validated here, once."""
         if not is_symplectic_rows(delta, g):
             raise ValueError("matrix does not preserve the symplectic form")
-        self._set_fields(delta=delta, genus=g, _hash=None, _rows=None)
+        self._set_fields(delta=delta, genus=g)
 
     @property
     def dim(self):
@@ -294,24 +288,16 @@ class SympMatrix(Frozen):
 
     @property
     def rows(self):
-        """The dense rows as a tuple of int tuples, computed on first use and kept."""
-        rows = self._rows
-        if rows is None:
-            rows = _dense(self.delta, self.dim)
-            object.__setattr__(self, "_rows", rows)
-        return rows
+        """The dense rows as a tuple of int tuples, computed on each read."""
+        return _dense(self.delta, self.dim)
 
     def __eq__(self, other):
         return (isinstance(other, SympMatrix) and self.genus == other.genus
                 and self.delta == other.delta)
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.genus, frozenset(
-                (i, frozenset(row.items())) for i, row in self.delta.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.genus, frozenset(
+            (i, frozenset(row.items())) for i, row in self.delta.items())))
 
     def __matmul__(self, other):
         if self.genus != other.genus:
@@ -418,43 +404,11 @@ def element_order(m, bound):
     return None
 
 
-def xor_table(rows):
-    """table[r] = XOR of rows[k] over the bits k set in r, for r < 2^len(rows).
-
-    With rows the bitmasks of a matrix over F_2, table[r] is the product of
-    the bit vector r with that matrix, so a product costs one lookup.
-    """
-    table = [0] * (1 << len(rows))
-    for r in range(1, len(table)):
-        low = r & -r
-        table[r] = table[r ^ low] ^ rows[low.bit_length() - 1]
-    return table
-
-
-def pack_columns(rows):
-    """The columns of an integer matrix mod 2 as bitmasks: bit i of entry j is rows[i][j]."""
-    return tuple(sum((row[j] & 1) << i for i, row in enumerate(rows))
-                 for j in range(len(rows[0])))
-
-
-def half_tables(cols):
-    """The two lookup tables of the F_2 matrix M with column bitmasks cols.
-
-    With h = len(cols) // 2, the first table is over the low h bits of a
-    vector (the alpha half) and the second over the rest (the beta half),
-    so M v = first[v & (2^h - 1)] ^ second[v >> h]: two lookups, in tables
-    of at most 2^(n - h) entries.
-    """
-    h = len(cols) // 2
-    return xor_table(cols[:h]), xor_table(cols[h:])
-
-
 def reduce_mod_p(m, p):
-    """Entrywise reduction of a SympMatrix to tuples over F_p, for p in SMALL_PRIMES.
+    """Entrywise reduction of a SympMatrix to tuples over F_p.
 
     The result is symplectic mod p because m passed the exact check when it
-    was built; nothing is re-checked here.
+    was built; neither that nor p is checked here (theorem.certificate_mode
+    admits the primes).
     """
-    if p not in SMALL_PRIMES:
-        raise ValueError(f"p must be one of {SMALL_PRIMES}, got {p}")
     return tuple(tuple(x % p for x in r) for r in m.rows)

@@ -37,13 +37,7 @@ from time import perf_counter
 
 from .chain import StabilizerChain
 from .curves import lantern_configuration, lickorish_system
-from .symplectic import (
-    SMALL_PRIMES,
-    Frozen,
-    alpha,
-    element_order,
-    reduce_mod_p,
-)
+from .symplectic import Frozen, alpha, element_order, reduce_mod_p
 from .torsion import theorem_generators
 from .words import Verdict, _equality, relation_suite
 
@@ -204,17 +198,15 @@ def certificate_mode(g, p):
 def _require_certificate(g, p, with_witnesses):
     """The certificate mode at (g, p), where p is None when no mod-p check runs.
 
-    Raises ValueError when p is not one of SMALL_PRIMES, when no mode can
-    decide, or when membership witnesses are asked for and no exact-order
-    certificate runs.
+    Raises ValueError when no mode can decide (any integer p, non-primes
+    included, gets the same message), or when membership witnesses are
+    asked for and no exact-order certificate runs.
     """
-    if p is not None and p not in SMALL_PRIMES:
-        raise ValueError(f"prime must be one of {SMALL_PRIMES}, got {p}")
     mode = None if p is None else certificate_mode(g, p)
     if p is not None and mode is None:
         raise ValueError(
-            f"no mod-{p} certificate at genus {g}: |Sp({2 * g},{p})| exceeds the "
-            f"exact-order bound {EXACT_ORDER_LIMIT}, and transitivity needs p in (2, 3) "
+            f"no mod-{p} certificate at genus {g}: exact order needs p = 2 with "
+            f"|Sp({2 * g},2)| <= {EXACT_ORDER_LIMIT}, and transitivity needs p in (2, 3) "
             f"with p^{2 * g}-1 <= {TRANSITIVITY_LIMIT}"
         )
     if with_witnesses and mode != "exact-order":
@@ -375,7 +367,7 @@ def modp_certificate(g, p, with_witnesses=False):
         if with_witnesses:
             for word, target in zip(words, twist_mats):
                 if word is not None and torsion.evaluate(word) != target:
-                    raise AssertionError("membership witness does not replay mod p")
+                    raise RuntimeError("membership witness does not replay mod p")
             section["membership_witnesses"] = {
                 f"T{u.name}": None if word is None else list(word)
                 for u, word in zip(system.curves, words)

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from mcgtorsion import theorem
-from mcgtorsion.chain import StabilizerChain
+from mcgtorsion.chain import StabilizerChain, half_tables, pack_columns
 from mcgtorsion.kernels import modp_closure
 from mcgtorsion.curves import lickorish_system
 from mcgtorsion.symplectic import identity, reduce_mod_p
@@ -14,7 +16,7 @@ from mcgtorsion.theorem import (
 )
 from mcgtorsion.torsion import theorem_generators
 
-from conftest import mm, orbit_bitmap, vector_orbit_oracle
+from conftest import ident, mm, orbit_bitmap, vector_orbit_oracle
 
 
 def _twists(g, names=None):
@@ -75,6 +77,32 @@ def test_chain_rejects_singular_generator():
         StabilizerChain([((1, 1), (1, 1))])
 
 
+def test_pack_columns_bit_order():
+    rows = [[0] * 5 for _ in range(4)]
+    rows[3][1] = 1
+    rows[0][4] = -1  # odd entries of either sign pack to 1
+    rows[2][4] = 7
+    rows[1][0] = 2
+    assert pack_columns(rows) == (0, 1 << 3, 0, 0, (1 << 0) | (1 << 2))
+    assert pack_columns(ident(3)) == (1, 2, 4)
+
+
+@pytest.mark.parametrize("n", (1, 6, 8, 9, 16, 17, 20))
+def test_xor_tables_give_the_product_mod_2(n):
+    # half_tables: one table over the low n // 2 bits, one over the rest
+    rng = random.Random(n)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    t_alpha, t_beta = half_tables(pack_columns(rows))
+    h = n // 2
+    assert (len(t_alpha), len(t_beta)) == (1 << h, 1 << (n - h))
+    for _ in range(50):
+        v = [rng.randint(0, 1) for _ in range(n)]
+        bits = sum(x << k for k, x in enumerate(v))
+        img = t_alpha[bits & ((1 << h) - 1)] ^ t_beta[bits >> h]
+        dense = [sum(row[k] * v[k] for k in range(n)) % 2 for row in rows]
+        assert img == sum(x << i for i, x in enumerate(dense))
+
+
 def test_modp_certificate_negative_control_without_f3(monkeypatch):
     certs = [c for c in theorem_generators(3) if c.name != "f3"]
     monkeypatch.setattr(theorem, "theorem_generators", lambda g: certs)
@@ -98,6 +126,14 @@ def test_membership_witnesses_replay_g3():
         word = witnesses[f"T{u.name}"]
         assert word
         assert _replay(word, mats, 2) == reduce_mod_p(u.twist, 2)
+
+
+def test_membership_witness_that_does_not_replay_raises(monkeypatch):
+    # negative control for the replay: every twist "sifts" to the word (0,),
+    # which evaluates to f1 mod 2 and so matches no twist
+    monkeypatch.setattr(StabilizerChain, "sift", lambda self, mat: (0,))
+    with pytest.raises(RuntimeError, match="does not replay"):
+        modp_certificate(3, 2, with_witnesses=True)
 
 
 def _orbits_match_oracle(g, p, full):

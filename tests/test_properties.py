@@ -25,10 +25,9 @@ from conftest import (
 )
 from mcgtorsion import kernels, theorem
 from mcgtorsion.chain import StabilizerChain
-from mcgtorsion.kernels import mul_mod
+from mcgtorsion.kernels import SMALL_PRIMES, mul_mod
 from mcgtorsion.curves import NamedCurve, lantern_configuration, lickorish_system
 from mcgtorsion.symplectic import (
-    SMALL_PRIMES,
     HomologyClass,
     SympMatrix,
     identity,

@@ -243,20 +243,24 @@ def test_cli_prime_without_modp_is_usage_error(args):
 ])
 def test_cli_rejects_uncertifiable_prime_before_any_check(args):
     # these runs used to go inconclusive (exit 1) or fail late with an internal error
+    g, p = args[1], args[-1]
     t0 = time.perf_counter()
     proc = _run_cli(*args)
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error: no mod-")
+    assert proc.stderr.startswith(f"error: no mod-{p} certificate at genus {g}: ")
     assert elapsed < 1.5, f"rejection took {elapsed:.2f}s"
 
 
-@pytest.mark.parametrize("p", (0, 1, 4, -2))
+@pytest.mark.parametrize("p", (0, 1, 4, -2, 5, 7, 11, 13))
 def test_prime_outside_small_primes_is_rejected_in_one_place(p):
-    # full_theorem_report and the CLI give the same message, from one check
-    message = f"prime must be one of (2, 3, 5, 7, 11, 13), got {p}"
+    # full_theorem_report and the CLI give the same message, from one rule
+    # (certificate_mode), for primes and non-primes alike
+    message = (f"no mod-{p} certificate at genus 3: exact order needs p = 2 with "
+               "|Sp(6,2)| <= 2000000, and transitivity needs p in (2, 3) "
+               "with p^6-1 <= 2000000")
     with pytest.raises(ValueError) as exc:
         full_theorem_report(3, prime=p)
     assert str(exc.value) == message
@@ -418,6 +422,14 @@ def test_shift_by_three_fails_the_orbit_and_luo_verdicts(monkeypatch, capsys, g)
     assert section["orbit"]["status"] == section["luo"]["status"] == "fail"
     assert "a2" in section["orbit"]["details"]["missing"]
     assert section["lantern_assembly"]["status"] == "pass"
+    # the text report prints the failing Luo identity's sides, and the right
+    # side, which has no word, as its matrix alone
+    assert cli.main(["--genus", str(g)]) == 1
+    text = capsys.readouterr().out
+    lines = text.splitlines()
+    assert any(line.startswith("    lhs: Ta2 Ta1^-1 = [[") for line in lines)
+    assert any(line.startswith("    rhs: [[") for line in lines)
+    assert "None" not in text
 
 
 def test_failed_identity_prints_words_and_matrices():

@@ -10,10 +10,8 @@ from mcgtorsion.symplectic import (
     alpha,
     beta,
     element_order,
-    half_tables,
     identity,
     is_symplectic_rows,
-    pack_columns,
     reduce_mod_p,
     transvection,
     zero_class,
@@ -199,39 +197,6 @@ def test_reduce_mod_p_examples():
     m = transvection(alpha(1, g)) @ transvection(beta(2, g)).inv()
     for row in reduce_mod_p(m, 3):
         assert all(x in (0, 1, 2) for x in row)
-
-
-def test_reduce_mod_p_rejects_bad_p():
-    with pytest.raises(ValueError):
-        reduce_mod_p(identity(2), 4)
-    with pytest.raises(ValueError):
-        reduce_mod_p(identity(2), 17)
-
-
-def test_pack_columns_bit_order():
-    rows = [[0] * 5 for _ in range(4)]
-    rows[3][1] = 1
-    rows[0][4] = -1  # odd entries of either sign pack to 1
-    rows[2][4] = 7
-    rows[1][0] = 2
-    assert pack_columns(rows) == (0, 1 << 3, 0, 0, (1 << 0) | (1 << 2))
-    assert pack_columns(ident(3)) == (1, 2, 4)
-
-
-@pytest.mark.parametrize("n", (1, 6, 8, 9, 16, 17, 20))
-def test_xor_tables_give_the_product_mod_2(n):
-    # half_tables: one table over the low n // 2 bits, one over the rest
-    rng = random.Random(n)
-    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-    t_alpha, t_beta = half_tables(pack_columns(rows))
-    h = n // 2
-    assert (len(t_alpha), len(t_beta)) == (1 << h, 1 << (n - h))
-    for _ in range(50):
-        v = [rng.randint(0, 1) for _ in range(n)]
-        bits = sum(x << k for k, x in enumerate(v))
-        img = t_alpha[bits & ((1 << h) - 1)] ^ t_beta[bits >> h]
-        dense = [sum(row[k] * v[k] for k in range(n)) % 2 for row in rows]
-        assert img == sum(x << i for i, x in enumerate(dense))
 
 
 def _random_transvection_word(rng, g, max_len):
