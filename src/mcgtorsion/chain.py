@@ -26,8 +26,11 @@ Every element carries a word over the input generator indices: the word
 G_i^(ord(G_i) - 1), and runs of one index are folded modulo its order,
 so words use generator indices only.  A folded word is the reduced word
 in the free product of the cyclic groups <G_i>, so where the folds happen
-does not change it: an element stores its word alone, and inverse words
-are formed only for a residue, from the transversals it was sifted by.
+does not change it, and words are folded only where they are read: a new
+transversal element stores the plain concatenation of its generator's word
+and its parent's, and sift and a residue fold the words they assemble.  An
+element stores its word alone, and inverse words are formed only for a
+residue, from the transversals it was sifted by.
 """
 
 from __future__ import annotations
@@ -189,7 +192,7 @@ class StabilizerChain:
                 img = su[k]
                 t = trans.get(img)
                 if t is None:
-                    trans[img] = (su, mul(u[1], s[1]), self._fold(s[2] + u[2]))
+                    trans[img] = (su, mul(u[1], s[1]), s[2] + u[2])
                     orbit.append(img)
                     done.append(0)
                     continue

@@ -1,8 +1,10 @@
 """Closure BFS oracle for matrix groups over small prime fields.
 
 Breadth-first closure from the identity under right multiplication by the
-generators, storing every element.  The tests use it as the enumeration
-oracle for the stabilizer chains; no mcg-verify check runs it.
+generators, storing every element in a set and no parent links, so it
+answers size and membership only.  The tests use it as the enumeration
+oracle for the stabilizer chains; no mcg-verify check runs it, and the
+chains' sifts, not this BFS, give membership words.
 
 A BFS state is the matrix itself.  At p = 2 it is a tuple of row bitmasks
 (bit j of row i is entry (i, j)), and each generator gets a
@@ -38,14 +40,10 @@ def _state(mat, p):
 
 
 class ClosureResult(Frozen):
-    """Result of a mod-p closure.
+    """Result of a mod-p closure: states is the set of every state reached."""
 
-    states maps every state reached to its BFS parent link (state, generator
-    index), or to None for the identity and when computed without parents.
-    """
-
-    def __init__(self, p, exceeded, states, with_parents=False):
-        self._set_fields(p=p, exceeded=exceeded, states=states, with_parents=with_parents)
+    def __init__(self, p, exceeded, states):
+        self._set_fields(p=p, exceeded=exceeded, states=states)
 
     @property
     def size(self):
@@ -54,21 +52,8 @@ class ClosureResult(Frozen):
     def contains(self, mat):
         return _state(mat, self.p) in self.states
 
-    def witness(self, mat):
-        """Generator-index word producing mat, from the BFS parent links."""
-        if not self.with_parents:
-            raise ValueError("closure was computed without parents")
-        state = _state(mat, self.p)
-        if state not in self.states:
-            return None
-        word = []
-        while self.states[state] is not None:
-            state, gi = self.states[state]
-            word.append(gi)
-        return tuple(reversed(word))
 
-
-def modp_closure(gens, p, cap=2_000_000, with_parents=False):
+def modp_closure(gens, p, cap=2_000_000):
     """BFS closure of the group generated by gens inside GL(n, F_p).
 
     cap bounds the number of stored elements; when it is hit the result is
@@ -95,7 +80,7 @@ def modp_closure(gens, p, cap=2_000_000, with_parents=False):
             return mul_mod(state, mats[gi], p)
 
     ident = _state([[int(i == j) for j in range(n)] for i in range(n)], p)
-    states = {ident: None}
+    states = {ident}
     frontier = [ident]
     exceeded = False
     while frontier and not exceeded:
@@ -108,9 +93,9 @@ def modp_closure(gens, p, cap=2_000_000, with_parents=False):
                 if len(states) >= cap:
                     exceeded = True
                     break
-                states[new] = (state, gi) if with_parents else None
+                states.add(new)
                 nxt.append(new)
             if exceeded:
                 break
         frontier = nxt
-    return ClosureResult(p, exceeded, states, with_parents)
+    return ClosureResult(p, exceeded, states)

@@ -15,9 +15,12 @@ twist moves at most two rows of at most three entries, so products,
 inverses, equality and the symplectic check cost O(nnz) rather than
 O(n^2).  Delta is canonical (no zero entry, no row equal to e_i), so two
 matrices are equal exactly when their Deltas are, and every matrix is
-checked to be symplectic once, on the Delta it stores.  A matrix stores
-nothing else: the dense rows, for serialization and printing, are computed
-when read, and the hash is computed from Delta on each call.
+checked to be symplectic once, on the Delta it stores.  One rule, _delta,
+makes given rows canonical, dense (SympMatrix(rows)) or the moved rows
+alone (SympMatrix.from_rows, which the generator builders use); products,
+inverses and transvections compute a canonical Delta directly.  A matrix
+stores nothing else: the dense rows, for serialization and printing, are
+computed when read, and the hash is computed from Delta on each call.
 
 The package's record classes derive from Frozen instead of using
 dataclasses, whose import pulls in inspect, ast and dis and would be most
@@ -119,10 +122,9 @@ def beta(i, g):
     return HomologyClass(tuple(1 if k == g + i - 1 else 0 for k in range(2 * g)), g)
 
 
-# The kernels below work on the moved rows of M = I + Delta.  Delta maps each
+# The kernels below work on the moved rows of M = I + Delta: Delta maps each
 # row index i whose row of M differs from e_i to that row's nonzero entries
-# {j: x}; it stores no zero entry and no row equal to e_i, so it is
-# canonical, and a row absent from it is e_i by definition.  A product
+# {j: x}, and a row absent from it is e_i by definition.  A product
 # computes only the moved rows of its left factor, reading rows of the right
 # factor by index, and keeps the right factor's moved rows that the left
 # leaves alone.  The symplectic check walks the moved rows once and visits
@@ -141,10 +143,13 @@ def identity_rows(n):
 
 
 def _delta(rows):
-    """The Delta of a square matrix given as int rows: the rows that are not e_i."""
+    """Canonical Delta of rows given as (i, row) pairs, each row an iterable of (j, x).
+
+    Entries become plain ints; zero entries and rows equal to e_i are dropped.
+    """
     out = {}
-    for i, row in enumerate(rows):
-        entries = {j: x for j, x in enumerate(row) if x}
+    for i, row in rows:
+        entries = {j: int(x) for j, x in row if x}
         if len(entries) != 1 or entries.get(i) != 1:
             out[i] = entries
     return out
@@ -152,17 +157,12 @@ def _delta(rows):
 
 def _dense(delta, n):
     """The n x n matrix I + Delta as tuple rows."""
-    eye = identity_rows(n)
-    rows = []
-    for i in range(n):
-        entries = delta.get(i)
-        if entries is None:
-            rows.append(eye[i])
-        else:
-            row = [0] * n
-            for j, x in entries.items():
-                row[j] = x
-            rows.append(tuple(row))
+    rows = list(identity_rows(n))
+    for i, entries in delta.items():
+        row = [0] * n
+        for j, x in entries.items():
+            row[j] = x
+        rows[i] = tuple(row)
     return tuple(rows)
 
 
@@ -263,14 +263,20 @@ class SympMatrix(Frozen):
         n = len(rows)
         if n == 0 or n % 2 != 0 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square of even dimension")
-        self._store(_delta(rows), n // 2)
+        self._store(_delta((i, enumerate(r)) for i, r in enumerate(rows)), n // 2)
+
+    @classmethod
+    def from_rows(cls, rows, g):
+        """Matrix on its moved rows: rows maps i to {j: entry}, and a row it omits is e_i."""
+        if g < 1 or any(not 0 <= j < 2 * g for i, row in rows.items() for j in (i, *row)):
+            raise ValueError(f"row or column index out of range for genus {g}")
+        return cls._from_delta(_delta((i, row.items()) for i, row in rows.items()), g)
 
     @classmethod
     def _from_delta(cls, delta, g):
         """Matrix on a canonical delta of int entries built by this module.
 
-        Coercion and the shape test are skipped; the symplectic check still
-        runs, in _store.
+        Coercion and the shape test are skipped; _store still checks it.
         """
         m = cls.__new__(cls)
         m._store(delta, g)

@@ -12,9 +12,12 @@ remaining handle, and build_genus3_extras builds the fifth involution tau.
 Pictures pin these maps down only up to orientation, so the matrices are
 stated as conventions: f1 and f2 act by -1 times a handle permutation
 (PI_ROTATION_SIGN), and f3 by the fixed block LANTERN_ROTATION_BLOCK on
-handles 1..3.  A build checks only what no verdict reports, and a failed
-check raises RuntimeError: each pi-rotation acts by -I on the handles it
-fixes (below), f3 cycles the curves the generation argument names
+handles 1..3.  Each builder states only the rows its matrix moves
+(SympMatrix.from_rows), so no build makes a 2g x 2g list, and
+discover_action is the one step of a build that is quadratic in g.  A
+build checks only what no verdict reports, and a failed check raises
+RuntimeError: each pi-rotation acts by -I on the handles it fixes
+(below), f3 cycles the curves the generation argument names
 (_validate_f3), sigma fixes a_1 and a_2, and tau sends a_3 to a
 longitude.  Each curve action is found once, by discover_action, and
 stated as found; the pi-rotation check reads it.  Every fact a report
@@ -42,7 +45,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .curves import lantern_configuration, lickorish_system
-from .symplectic import Frozen, SympMatrix, alpha, identity_rows
+from .symplectic import Frozen, SympMatrix, alpha
 
 # order-3 handle block: alpha -> beta, beta -> -alpha - beta
 ORDER3_BLOCK = ((0, -1), (1, -1))
@@ -112,12 +115,11 @@ def discover_action(m, classes):
 
 def _signed_perm(g, perm, sign):
     """alpha_i -> sign*alpha_perm(i), beta_i -> sign*beta_perm(i), 0-based handles mod g."""
-    n = 2 * g
-    rows = [[0] * n for _ in range(n)]
+    rows = {}
     for i in range(g):
-        rows[perm(i) % g][i] = sign
-        rows[g + perm(i) % g][g + i] = sign
-    return SympMatrix(rows)
+        j = perm(i) % g
+        rows[j], rows[g + j] = {i: sign}, {g + i: sign}
+    return SympMatrix.from_rows(rows, g)
 
 
 def _pi_rotation(g, name, perm, handle_map):
@@ -154,25 +156,13 @@ def conjugated_involution(g):
     )
 
 
-def _embed_block(g, block6):
-    """Place a 6x6 block on the handle 1..3 coordinates of a 2g matrix."""
-    idx = [0, 1, 2, g, g + 1, g + 2]
-    rows = [list(r) for r in identity_rows(2 * g)]
-    for r in range(6):
-        for c in range(6):
-            rows[idx[r]][idx[c]] = block6[r][c]
-    return rows
-
-
 def _assemble_f3(g):
-    rows = _embed_block(g, LANTERN_ROTATION_BLOCK)
-    for i in range(3, g):  # 0-based handles 4..g, none at genus 3
-        ai, bi = i, g + i
-        rows[ai][ai] = ORDER3_BLOCK[0][0]
-        rows[ai][bi] = ORDER3_BLOCK[0][1]
-        rows[bi][ai] = ORDER3_BLOCK[1][0]
-        rows[bi][bi] = ORDER3_BLOCK[1][1]
-    return SympMatrix(rows)
+    """LANTERN_ROTATION_BLOCK on the rows of handles 1..3, ORDER3_BLOCK on each of handles 4..g."""
+    blocks = [(LANTERN_ROTATION_BLOCK, (0, 1, 2, g, g + 1, g + 2))]
+    blocks += [(ORDER3_BLOCK, (i, g + i)) for i in range(3, g)]  # none at genus 3
+    # block entry (r, c) is the matrix entry (idx[r], idx[c])
+    rows = {idx[r]: dict(zip(idx, row)) for block, idx in blocks for r, row in enumerate(block)}
+    return SympMatrix.from_rows(rows, g)
 
 
 def _validate_f3(action, g):
@@ -206,10 +196,7 @@ def build_f3(g):
 
 def sigma_matrix():
     """Genus-3 map fixing handles 1, 2 and rotating handle 3 a quarter turn."""
-    rows = [list(r) for r in identity_rows(6)]
-    rows[2][2], rows[2][5] = 0, -1
-    rows[5][2], rows[5][5] = 1, 0
-    return SympMatrix(rows)
+    return SympMatrix.from_rows({2: {5: -1}, 5: {2: 1}}, 3)
 
 
 @lru_cache(maxsize=None)

@@ -65,23 +65,6 @@ def test_cap_semantics():
     assert result.size == 50
 
 
-def test_witness_words_replay():
-    p = 3
-    gens = [SHEAR, LOWER]
-    result = kernels.modp_closure(gens, p, with_parents=True)
-    norm = [tuple(tuple(x % p for x in r) for r in g) for g in gens]
-    count = 0
-    for mat in _brute_closure(norm, p):
-        word = result.witness(mat)
-        assert word is not None
-        acc = ((1, 0), (0, 1))
-        for gi in word:
-            acc = _mul_mod(acc, norm[gi], p)
-        assert acc == mat
-        count += 1
-    assert count == 24
-
-
 def test_p2_n10_closure_matches_chain_order():
     g = 5  # n = 10: row bitmasks wider than one byte
     gens = [reduce_mod_p(u.twist, 2) for u in lickorish_system(g).curves[:3]]
@@ -99,9 +82,3 @@ def test_invalid_inputs():
         kernels.modp_closure([((1, 0),)], 2)
     with pytest.raises(ValueError):
         kernels.modp_closure([((1, 0), (0, 1))], 2, cap=0)
-
-
-def test_witness_requires_parents():
-    result = kernels.modp_closure([SHEAR], 2)
-    with pytest.raises(ValueError):
-        result.witness(SHEAR)

@@ -417,3 +417,24 @@ def test_vector_orbit_matches_bfs_oracle(data, g, p):
     assert orbit == orbit_bitmap(vector_orbit_oracle(mats, p), p)
     verdict = theorem.modp_transitivity([pool[k] for k in subset], p)
     assert verdict.details["orbit_size"] == orbit.bit_count()
+
+
+@lru_cache(maxsize=None)
+def _torsion_chain_g3():
+    return StabilizerChain([reduce_mod_p(c.matrix, 2) for c in theorem_generators(3)])
+
+
+# index words drawn as runs of one letter, so that runs reach the orders
+RUN_WORDS = st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)), max_size=10).map(
+    lambda runs: tuple(x for x, k in runs for _ in range(k)))
+
+
+@PROPERTY
+@given(a=RUN_WORDS, b=RUN_WORDS)
+def test_word_fold_is_confluent(a, b):
+    # chain words are folded where they are read, so folding a part first
+    # must give the same reduced word as folding the whole
+    chain = _torsion_chain_g3()
+    assert chain._orders == [2, 2, 2, 3, 2]
+    fold = chain._fold
+    assert fold(a + b) == fold(fold(a) + b) == fold(a + fold(b))

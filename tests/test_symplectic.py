@@ -16,6 +16,7 @@ from mcgtorsion.symplectic import (
     transvection,
     zero_class,
 )
+from mcgtorsion.torsion import _signed_perm
 
 
 def test_form_on_basis():
@@ -180,6 +181,44 @@ def test_both_constructors_reject_with_one_message(g, monkeypatch):
     m = SympMatrix(rows)
     m @ m
     assert calls == [g, g]
+
+
+def test_from_rows_drops_unmoved_rows_and_zero_entries():
+    g = 3
+    m = SympMatrix.from_rows({0: {0: 1, 3: 0}, 2: {2: 1, 5: -1, 4: 0}, 4: {4: 1}}, g)
+    assert m.delta == {2: {2: 1, 5: -1}}
+    assert m == transvection(alpha(3, g))
+    assert m == SympMatrix(m.to_lists())
+
+
+@pytest.mark.parametrize("g", (1, 2, 3, 4))
+def test_from_rows_of_no_row_is_the_identity(g):
+    assert SympMatrix.from_rows({}, g) == identity(g)
+    assert SympMatrix.from_rows({}, g).delta == {}
+
+
+@pytest.mark.parametrize("g", (2, 3, 5))
+def test_from_rows_drops_the_rows_of_a_trivial_signed_permutation(g):
+    # sign +1 on a handle a permutation fixes gives the rows e_i, which are dropped
+    assert _signed_perm(g, lambda i: i, 1).delta == {}
+    assert _signed_perm(g, lambda i: i, 1) == identity(g)
+
+
+def test_from_rows_makes_plain_ints():
+    m = SympMatrix.from_rows({0: {0: True, 1: True}, 1: {1: True}}, 1)
+    assert m.delta == {0: {0: 1, 1: 1}}
+    assert all(type(x) is int for row in m.delta.values() for x in row.values())
+    assert m == SympMatrix([[1, 1], [0, 1]])
+
+
+def test_from_rows_rejects_a_non_symplectic_mapping_and_a_bad_index():
+    with pytest.raises(ValueError, match="symplectic"):
+        SympMatrix.from_rows({0: {0: 2}}, 1)
+    with pytest.raises(ValueError, match="symplectic"):
+        SympMatrix.from_rows({2: {5: -1}}, 3)
+    for rows, g in (({2: {2: 1}}, 1), ({0: {0: 1, 2: 1}}, 1), ({}, 0), ({0: {-1: 1}}, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            SympMatrix.from_rows(rows, g)
 
 
 def test_determinant_small_genus():

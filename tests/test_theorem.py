@@ -367,25 +367,6 @@ def test_full_report_modp_requires_prime():
         full_theorem_report(3, checks={"modp"})
 
 
-def test_same_subgroup_witnesses_evaluate():
-    # witness words from the closure must reproduce the twist images mod 2
-    g = 2
-    system = lickorish_system(g)
-    gens = [u.twist for u in system.curves]
-    mats2 = [reduce_mod_p(m, 2) for m in gens]
-    closure = modp_closure(mats2, 2, with_parents=True)
-    assert closure.size == 720
-    target = reduce_mod_p(system.curve("a2").twist @ system.curve("b1").twist, 2)
-    word = closure.witness(target)
-    assert word is not None
-    acc = reduce_mod_p(identity(g), 2)
-    from mcgtorsion.kernels import mul_mod
-
-    for gi in word:
-        acc = mul_mod(acc, mats2[gi], 2)
-    assert acc == target
-
-
 def test_full_report_builds_generators_once(monkeypatch):
     calls = []
     real = torsion.build_f1

@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 from mcgtorsion.curves import lickorish_system
-from mcgtorsion.symplectic import alpha, beta, element_order, identity, zero_class
-from mcgtorsion import curves, theorem, torsion
+from mcgtorsion.symplectic import SympMatrix, alpha, beta, element_order, identity, zero_class
+from mcgtorsion import curves, symplectic, theorem, torsion
 from conftest import swap_generator
 from mcgtorsion.torsion import (
     LANTERN_ROTATION_BLOCK,
@@ -132,6 +132,41 @@ def test_genus3_extras():
     assert target.startswith("b")
     assert target == "b2"  # realized image, recorded in the certificate
     assert tau.notes["a3_image"] == "-b2"
+
+
+@pytest.mark.parametrize("g", (3, 4, 8))
+def test_generators_are_built_from_their_moved_rows(monkeypatch, g):
+    # every builder states its moved rows: no dense constructor, no n x n list
+    for cached in (curves.lickorish_system, curves.lantern_configuration, build_f1,
+                   build_f2, build_f3, build_genus3_extras, theorem_generators):
+        cached.cache_clear()
+    dense = []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def recording(*args):
+            dense.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, recording)
+
+    spy(SympMatrix, "__init__")
+    spy(symplectic, "identity_rows")
+    spy(symplectic, "_dense")
+    certs = theorem_generators(g)
+    if g == 3:
+        sigma_matrix()
+    assert len(certs) == (5 if g == 3 else 4)
+    assert not dense, dense
+
+
+@pytest.mark.parametrize("g", range(3, 9))
+def test_moved_rows_and_dense_rows_make_the_same_matrix(g):
+    mats = [c.matrix for c in theorem_generators(g)] + ([sigma_matrix()] if g == 3 else [])
+    for m in mats:
+        dense = SympMatrix(m.to_lists())
+        assert dense == m and dense.delta == m.delta and hash(dense) == hash(m)
 
 
 def test_sigma_fixes_first_two_handles():
