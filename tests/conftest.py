@@ -6,17 +6,22 @@ under test.  The reference implementations the engine is compared against
 live here too, since no verdict reads them: the symplectic form, the
 commutation and braid relations by twist products, the conjugacy identity,
 the orbit BFS of curve classes, the vector orbit BFS over F_p and the
-report's byte-stable portion.  swap_generator
-builds the negative controls that alter one named generator.
+report's byte-stable portion.  swap_generator, drop_generator, swap_class
+and swap_boundary build the negative controls (tests/test_controls.py) that
+alter one named generator, curve class or chain boundary, and the
+clear_caches fixture makes each such test build from scratch.
 """
 
 import json
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mcgtorsion import theorem, torsion  # noqa: E402
+from mcgtorsion import curves, theorem, torsion, words  # noqa: E402
+from mcgtorsion.curves import ChainConfig, LickorishSystem, NamedCurve  # noqa: E402
 from mcgtorsion.symplectic import HomologyClass, transvection  # noqa: E402
 from mcgtorsion.theorem import OrbitSet  # noqa: E402
 from mcgtorsion.words import _equality  # noqa: E402
@@ -201,6 +206,55 @@ def swap_generator(monkeypatch, g, name, **fields):
     assert name in [c.name for c in certs], name
     swapped = tuple(swap(c) if c.name == name else c for c in certs)
     monkeypatch.setattr(theorem, "theorem_generators", lambda _g: swapped)
+
+
+def drop_generator(monkeypatch, g, name):
+    """Make theorem.theorem_generators(g) list the built set without the named certificate."""
+    listed = tuple(c for c in torsion.theorem_generators(g) if c.name != name)
+    monkeypatch.setattr(theorem, "theorem_generators", lambda _g: listed)
+    return listed
+
+
+def swap_class(monkeypatch, g, name, coords):
+    """Make words.lickorish_system(g) give the named curve the class coords.
+
+    Only the relation verdicts, in module words, read the swapped class.
+    """
+    system = curves.lickorish_system(g)
+    listed = tuple(NamedCurve(u.name, HomologyClass(coords, g)) if u.name == name else u
+                   for u in system.curves)
+    wrong = LickorishSystem(g, listed, system.meeting, system.c_signs)
+    monkeypatch.setattr(words, "lickorish_system", lambda genus: wrong)
+    return wrong
+
+
+def swap_boundary(monkeypatch, t, d):
+    """Make words.chain_configuration give the t-chain the boundary d1 = d, d2 = -d."""
+    def configuration(s, g):
+        config = curves.chain_configuration(s, g)
+        if s != t:
+            return config
+        return ChainConfig(g, t, config.curves, (NamedCurve("d1", d), NamedCurve("d2", -d)))
+
+    monkeypatch.setattr(words, "chain_configuration", configuration)
+
+
+def _clear_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mcgtorsion"):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
+@pytest.fixture
+def clear_caches(monkeypatch):
+    """Clear every lru_cache of the mcgtorsion modules before the test, and again
+    after the test's patches are undone, so no tampered build outlives it."""
+    _clear_caches()
+    yield
+    monkeypatch.undo()
+    _clear_caches()
 
 
 def comparable_json(env):

@@ -16,7 +16,7 @@ from mcgtorsion.theorem import (
 )
 from mcgtorsion.torsion import theorem_generators
 
-from conftest import ident, mm, orbit_bitmap, vector_orbit_oracle
+from conftest import drop_generator, ident, mm, orbit_bitmap, vector_orbit_oracle
 
 
 def _twists(g, names=None):
@@ -103,18 +103,6 @@ def test_xor_tables_give_the_product_mod_2(n):
         assert img == sum(x << i for i, x in enumerate(dense))
 
 
-def test_modp_certificate_negative_control_without_f3(monkeypatch):
-    certs = [c for c in theorem_generators(3) if c.name != "f3"]
-    monkeypatch.setattr(theorem, "theorem_generators", lambda g: certs)
-    section = modp_certificate(3, 2)
-    assert section["generators"] == [c.name for c in certs]
-    assert section["mode"] == "exact-order"
-    assert section["torsion_order"] < 1_451_520
-    assert 1_451_520 % section["torsion_order"] == 0
-    assert not section["same_subgroup"]
-    assert not section["passed"]
-
-
 def test_membership_witnesses_replay_g3():
     section = modp_certificate(3, 2, with_witnesses=True)
     assert section["passed"]
@@ -126,14 +114,6 @@ def test_membership_witnesses_replay_g3():
         word = witnesses[f"T{u.name}"]
         assert word
         assert _replay(word, mats, 2) == reduce_mod_p(u.twist, 2)
-
-
-def test_membership_witness_that_does_not_replay_raises(monkeypatch):
-    # negative control for the replay: every twist "sifts" to the word (0,),
-    # which evaluates to f1 mod 2 and so matches no twist
-    monkeypatch.setattr(StabilizerChain, "sift", lambda self, mat: (0,))
-    with pytest.raises(RuntimeError, match="does not replay"):
-        modp_certificate(3, 2, with_witnesses=True)
 
 
 def _orbits_match_oracle(g, p, full):
@@ -204,10 +184,8 @@ def test_elimination_rejects_singular_matrix(m, p):
 @pytest.mark.parametrize("g", (4, 6, 8))
 def test_transitivity_negative_control_without_f3(g, monkeypatch):
     # f1, f2 and Ta1 f2 Ta1^-1 only permute a_1 .. a_g up to sign
-    certs = [c for c in theorem_generators(g) if c.name != "f3"]
-    mats = [reduce_mod_p(c.matrix, 2) for c in certs]
+    mats = [reduce_mod_p(c.matrix, 2) for c in drop_generator(monkeypatch, g, "f3")]
     assert _vector_orbit(mats, 2).bit_count() == g
-    monkeypatch.setattr(theorem, "theorem_generators", lambda genus: certs)
     section = modp_certificate(g, 2)
     assert section["mode"] == "transitivity"
     assert section["orbit"] == {"orbit_size": g, "nonzero_vectors": 2 ** (2 * g) - 1}
@@ -219,8 +197,7 @@ def test_transitivity_negative_control_without_f3(g, monkeypatch):
 def test_transitivity_negative_control_without_f3_mod3(g, size, monkeypatch):
     # mod 3 the a_i keep their signs apart: 2g vectors at g >= 4; at g = 3,
     # where sigma^-1 f1 sigma joins, the nonzero vectors of each handle, 3 x 8
-    certs = [c for c in theorem_generators(g) if c.name != "f3"]
-    monkeypatch.setattr(theorem, "theorem_generators", lambda genus: certs)
+    drop_generator(monkeypatch, g, "f3")
     section = modp_certificate(g, 3)
     assert section["mode"] == "transitivity"
     assert section["orbit"] == {"orbit_size": size, "nonzero_vectors": 3 ** (2 * g) - 1}

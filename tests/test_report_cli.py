@@ -394,13 +394,9 @@ def test_exit_status_reflects_verdicts(monkeypatch, capsys):
 
 
 def test_f2f1_order_failure_fails_the_torsion_verdict(monkeypatch, capsys):
-    # with f2 replaced by f1 every claimed order holds, but f2 f1 = I has order 1
+    # with f2 replaced by f1 every claimed order holds, but f2 f1 = I has order 1;
+    # the failed verdicts are row f2-is-f1 of tests/test_controls.py
     swap_generator(monkeypatch, 4, "f2", matrix=build_f1(4).matrix)
-    assert cli.main(["--genus", "4", "--checks", "torsion", "--output", "structured"]) == 1
-    section = json.loads(capsys.readouterr().out)["report"]["checks"]["torsion"]
-    assert section["passed"] is False
-    assert section["f2f1_order"] == 1
-    assert "order_failures" not in section
     assert cli.main(["--genus", "4", "--checks", "torsion"]) == 1
     text = capsys.readouterr().out
     assert "[torsion] FAIL: 4 generators, order(f2*f1) = 1" in text
@@ -412,16 +408,11 @@ def test_shift_by_three_fails_the_orbit_and_luo_verdicts(monkeypatch, capsys, g)
     # f2 sending handle i to 3-i is an involution, and f2 f1 is then the shift
     # by 3, which still has order g: the torsion verdict passes, while the
     # orbit words (powers of f2 f1) and the Luo identity catch the wrong shift
+    # (row f2-shifts-by-3 of tests/test_controls.py)
     swap_generator(monkeypatch, g, "f2", matrix=_signed_perm(g, lambda i: 3 - i, -1))
     assert cli.main(["--genus", str(g), "--output", "structured"]) == 1
-    checks = json.loads(capsys.readouterr().out)["report"]["checks"]
-    assert checks["relations"]["passed"] and checks["torsion"]["passed"]
-    assert checks["torsion"]["f2f1_order"] == g
-    section = checks["theorem"]
-    assert section["passed"] is False
-    assert section["orbit"]["status"] == section["luo"]["status"] == "fail"
+    section = json.loads(capsys.readouterr().out)["report"]["checks"]["theorem"]
     assert "a2" in section["orbit"]["details"]["missing"]
-    assert section["lantern_assembly"]["status"] == "pass"
     # the text report prints the failing Luo identity's sides, and the right
     # side, which has no word, as its matrix alone
     assert cli.main(["--genus", str(g)]) == 1

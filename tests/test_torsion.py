@@ -135,11 +135,8 @@ def test_genus3_extras():
 
 
 @pytest.mark.parametrize("g", (3, 4, 8))
-def test_generators_are_built_from_their_moved_rows(monkeypatch, g):
+def test_generators_are_built_from_their_moved_rows(monkeypatch, clear_caches, g):
     # every builder states its moved rows: no dense constructor, no n x n list
-    for cached in (curves.lickorish_system, curves.lantern_configuration, build_f1,
-                   build_f2, build_f3, build_genus3_extras, theorem_generators):
-        cached.cache_clear()
     dense = []
 
     def spy(owner, name):
@@ -308,20 +305,6 @@ def test_f3_check_rejects_a_wrong_cycle(monkeypatch, g):
     monkeypatch.setattr(torsion, "_assemble_f3", lambda h: assemble(h) @ assemble(h))
     with pytest.raises(RuntimeError, match="does not cycle a1 -> c2 -> a3"):
         build_f3.__wrapped__(g)
-
-
-def test_tau_check_rejects_a_sigma_that_keeps_handle_3(monkeypatch):
-    # with sigma = I, tau is f1, which sends a3 to -a2, not to a longitude
-    monkeypatch.setattr(torsion, "sigma_matrix", lambda: identity(3))
-    with pytest.raises(RuntimeError, match="tau does not send a3 to a longitude"):
-        build_genus3_extras.__wrapped__()
-
-
-def test_sigma_check_rejects_a_sigma_that_moves_a1(monkeypatch):
-    # f1 sends a1 to -a1
-    monkeypatch.setattr(torsion, "sigma_matrix", lambda: build_f1(3).matrix)
-    with pytest.raises(RuntimeError, match="sigma moves a1"):
-        build_genus3_extras.__wrapped__()
 
 
 @pytest.mark.parametrize("entry", [(0, 1), (2, 0), (4, 5)])

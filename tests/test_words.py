@@ -5,12 +5,10 @@ from math import comb
 
 import pytest
 
-from conftest import check_braid, check_commuting, check_conjugacy
+from conftest import check_braid, check_commuting, check_conjugacy, swap_boundary, swap_class
 from mcgtorsion import cli, curves, symplectic, words
 from mcgtorsion.curves import (
-    ChainConfig,
     LanternConfig,
-    LickorishSystem,
     NamedCurve,
     chain_configuration,
     lantern_configuration,
@@ -126,29 +124,16 @@ def test_pairing_verdicts_match_product_oracle():
         assert all(v.passed for v in suite)
 
 
-def _with_class(monkeypatch, g, name, coords):
-    """Patch relation_suite's system: curve name gets coords, past every build check."""
-    system = lickorish_system(g)
-    curves_ = tuple(NamedCurve(u.name, HomologyClass(coords, g)) if u.name == name else u
-                    for u in system.curves)
-    wrong = LickorishSystem(g, curves_, system.meeting, system.c_signs)
-    monkeypatch.setattr(words, "lickorish_system", lambda genus: wrong)
-    return wrong
-
-
 def test_wrong_class_fails_pairwise_verdicts_like_the_oracle(monkeypatch, capsys):
     # c1 = alpha_1 + alpha_3 misses b2, which it is declared to meet, and
-    # meets b3, from which it is declared disjoint
+    # meets b3, from which it is declared disjoint (row c1-is-a1+a3 of
+    # tests/test_controls.py)
     g = 4
-    wrong = _with_class(monkeypatch, g, "c1", (1, 0, 1, 0, 0, 0, 0, 0))
+    wrong = swap_class(monkeypatch, g, "c1", (1, 0, 1, 0, 0, 0, 0, 0))
     failed = [v for v in relation_suite(g) if not v.passed]
     oracle = [v for v in _oracle_statuses(wrong) if not v.passed]
     assert [v.check for v in failed] == ["braid(b2,c1)", "commute(b3,c1)"]
     assert [v.to_dict() for v in failed] == [v.to_dict() for v in oracle]
-    assert failed[0].details["lhs_word"] == "Tb2 Tc1 Tb2"
-    assert failed[0].details["rhs_word"] == "Tc1 Tb2 Tc1"
-    assert failed[1].details["lhs_word"] == "Tb3 Tc1"
-    assert failed[1].details["rhs_word"] == "Tc1 Tb3"
     assert all(v.details["lhs_matrix"] != v.details["rhs_matrix"] for v in failed)
     # the CLI reports the failure with exit status 1, not a traceback
     assert cli.main(["--genus", str(g), "--checks", "relations"]) == 1
@@ -159,7 +144,7 @@ def test_parallel_classes_declared_to_meet_fail_braid(monkeypatch):
     # with [b1] = [a1] the twists are equal, so the braid products agree, but
     # curves declared to meet once cannot have parallel classes
     g = 3
-    _with_class(monkeypatch, g, "b1", alpha(1, g).coords)
+    swap_class(monkeypatch, g, "b1", alpha(1, g).coords)
     verdict = next(v for v in relation_suite(g) if v.check == "braid(a1,b1)")
     assert verdict.status == "fail"
     assert verdict.details["lhs_matrix"] == verdict.details["rhs_matrix"]
@@ -239,12 +224,6 @@ def test_check_chain_cases():
             assert set(v.details) == {"power", "boundary"}
 
 
-def _with_boundary(monkeypatch, t, g, d):
-    config = chain_configuration(t, g)
-    wrong = ChainConfig(g, t, config.curves, (NamedCurve("d1", d), NamedCurve("d2", -d)))
-    monkeypatch.setattr(words, "chain_configuration", lambda *args: wrong)
-
-
 def test_check_chain_rejects_every_other_basis_boundary(monkeypatch):
     # every alpha_j but the closed-form alpha_k, and beta_k, break the odd chain relation
     cases = 0
@@ -253,14 +232,14 @@ def test_check_chain_rejects_every_other_basis_boundary(monkeypatch):
             k = (t + 1) // 2
             others = [alpha(j, g) for j in range(1, g + 1) if j != k] + [beta(k, g)]
             for d in others:
-                _with_boundary(monkeypatch, t, g, d)
+                swap_boundary(monkeypatch, t, d)
                 assert check_chain(t, g).status == "fail", (t, g, d)
                 cases += 1
     assert cases == 90
 
 
 def test_check_chain_fails_with_both_sides(monkeypatch):
-    _with_boundary(monkeypatch, 3, 3, alpha(1, 3))
+    swap_boundary(monkeypatch, 3, alpha(1, 3))
     v = check_chain(3, 3)
     assert v.status == "fail"
     assert set(v.details) == {
