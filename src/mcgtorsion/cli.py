@@ -13,7 +13,8 @@ import stat
 import sys
 
 from . import report as report_mod
-from .theorem import CHECK_NAMES, full_theorem_report
+from .theorem import CHECK_NAMES, alphabet, full_theorem_report
+from .words import evaluate, format_word, parse_word
 
 
 class UsageError(Exception):
@@ -61,17 +62,9 @@ def _parse_checks(text):
 
 
 def _eval_word(g, text):
-    from .torsion import sigma_matrix, theorem_generators
-    from .words import evaluate, format_word, parse_word, twist_assignment
-
-    assignment = twist_assignment(g)
-    if g >= 3:
-        gens = {c.name: c.matrix for c in theorem_generators(g)}
-        assignment.update(F1=gens["f1"], F2=gens["f2"], F3=gens["f3"])
-        if g == 3:
-            assignment["Sigma"] = sigma_matrix()
-    word = parse_word(text, known=set(assignment))
-    matrix = evaluate(word, assignment)
+    letters = alphabet(g)
+    word = parse_word(text, known=set(letters))
+    matrix = evaluate(word, letters)
     lines = [f"word: {format_word(word)}"]
     lines += [" ".join(f"{x:4d}" for x in row) for row in matrix.rows]
     return "\n".join(lines) + "\n"

@@ -311,16 +311,19 @@ class SympMatrix(Frozen):
         return SympMatrix._from_delta(mul_rows(self.delta, other.delta), self.genus)
 
     def __pow__(self, k):
+        """M^k by squaring, from the first factor: M ** 1 is M, with no product."""
         if k < 0:
             return self.inv() ** (-k)
-        result = identity(self.genus)
-        base = self
-        while k:
+        if k == 0:
+            return identity(self.genus)
+        result, base = None, self
+        while True:
             if k & 1:
-                result = result @ base
-            base = base @ base if k > 1 else base
+                result = base if result is None else result @ base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base @ base
 
     def inv(self):
         """J^T M^T J = I + J^T D^T J with D = M - I: the exact integer inverse.

@@ -6,13 +6,14 @@ involution Ta1 f2 Ta1^-1, the assembly of T_c1 from conjugates of
 Ta2 Ta1^-1 by the order-3 element f3, the single-orbit property of the
 Lickorish classes under the torsion group, and finite certificates that
 the generator images span the full symplectic group over a small prime.
-Each identity is computed here, by the function that reports it, from
-the generators theorem_generators lists, each read by the name the report
-prints: their order only orders the report's lists, and a set without a
-name a verdict reads raises KeyError.  The orbit property is certified
-by the paper's own words: a fixed generator word per curve, applied to
-a_1 and compared with the curve's class, so it needs no search and always
-decides pass or fail.
+Each identity is a pair of words, evaluated by words.equation over
+alphabet(g) in the function that reports it, so a failure prints the
+words it evaluated.  The alphabet reads the generators theorem_generators
+lists by the names the report prints: their order only orders the
+report's lists, and a set without a name the alphabet reads raises
+KeyError.  The orbit property is certified by the paper's own words: a
+fixed generator word per curve, applied to a_1 and compared with the
+curve's class, so it needs no search and always decides pass or fail.
 
 The mod-p certificate is exact order when p = 2 and |Sp(2g, 2)| is at
 most EXACT_ORDER_LIMIT, which for g >= 3 holds at g = 3 alone:
@@ -38,8 +39,8 @@ from time import perf_counter
 from .chain import StabilizerChain
 from .curves import lantern_configuration, lickorish_system
 from .symplectic import Frozen, alpha, element_order, reduce_mod_p
-from .torsion import theorem_generators
-from .words import Verdict, _equality, relation_suite
+from .torsion import sigma_matrix, theorem_generators
+from .words import Verdict, equation, relation_suite, twist_letters
 
 HOMOLOGY_CAVEAT = (
     "verification is at the homology-representation level: passing checks are "
@@ -70,6 +71,19 @@ class OrbitSet(Frozen):
 def _by_name(g):
     """Name -> matrix of the generators theorem_generators(g) lists."""
     return {c.name: c.matrix for c in theorem_generators(g)}
+
+
+def alphabet(g):
+    """Letter -> matrix for the words of --eval and the theorem verdicts: T<curve>
+    for each Lickorish curve; from genus 3, F1 .. F4 for the listed f1, f2, f3
+    and Ta1 f2 Ta1^-1; at genus 3, Tau for sigma^-1 f1 sigma, and Sigma."""
+    letters = twist_letters(lickorish_system(g).curves)
+    if g >= 3:
+        gens = _by_name(g)
+        letters.update(F1=gens["f1"], F2=gens["f2"], F3=gens["f3"], F4=gens["Ta1 f2 Ta1^-1"])
+        if g == 3:
+            letters.update(Tau=gens["sigma^-1 f1 sigma"], Sigma=sigma_matrix())
+    return letters
 
 
 def lickorish_words(g):
@@ -134,42 +148,28 @@ def property1_orbit_check(g):
 
 
 def luo_decomposition_check(g):
-    """Ta2 Ta1^-1 = f2 F4, with F4 the listed generator Ta1 f2 Ta1^-1, an involution.
+    """Ta2 Ta1^-1 = F2 F4, with F4 the listed generator Ta1 f2 Ta1^-1, and F4^2 = 1.
 
-    f2 and F4 are read by name from theorem_generators(g), so a pass writes
-    Ta2 Ta1^-1 in the listed generators; since Ta2 = f2 Ta1 f2, it also
-    proves that F4 is Ta1 f2 Ta1^-1.  The product f2 F4 is formed once, and
-    a failure reports it under both middle_matrix and rhs_matrix.
+    F2 and F4 are the listed f2 and Ta1 f2 Ta1^-1 (alphabet), so a pass
+    writes Ta2 Ta1^-1 in the listed generators; since Ta2 = f2 Ta1 f2, it
+    also proves that F4 is Ta1 f2 Ta1^-1.  A failure reports the product
+    F2 F4 under both middle_matrix and rhs_matrix.
     """
-    gens = _by_name(g)
-    f2, f4 = gens["f2"], gens["Ta1 f2 Ta1^-1"]
-    system = lickorish_system(g)
-    target = system.curve("a2").twist @ system.curve("a1").twist.inv()
-    middle = f2 @ f4
-    equal = target == middle
-    involution = (f4 @ f4).is_identity
-    ok = equal and involution
+    letters = alphabet(g)
+    involution, _ = equation("F4^2", "<empty>", letters)
+    equal, sides = equation("Ta2 Ta1^-1", "F2 F4", letters, always=not involution)
     details = {"equal": equal, "conjugate_is_involution": involution}
-    if not ok:
-        details["lhs_word"] = "Ta2 Ta1^-1"
-        details["lhs_matrix"] = target.to_lists()
-        details["middle_matrix"] = middle.to_lists()
-        details["rhs_matrix"] = middle.to_lists()
-    return Verdict(f"luo(g={g})", "pass" if ok else "fail", details)
+    if sides:
+        details.update(lhs_word=sides["lhs_word"], lhs_matrix=sides["lhs_matrix"],
+                       middle_matrix=sides["rhs_matrix"], rhs_matrix=sides["rhs_matrix"])
+    return Verdict(f"luo(g={g})", "fail" if sides else "pass", details)
 
 
 def lantern_assembly_check(g):
-    """T_c1 = (Ta2 Ta1^-1) f3(...)f3^-1 f3^2(...)f3^-2, with f3 the listed generator f3."""
-    f3 = _by_name(g)["f3"]
-    system = lickorish_system(g)
-    e = system.curve("a2").twist @ system.curve("a1").twist.inv()
-    f3i = f3.inv()
-    rhs = e @ (f3 @ e @ f3i) @ (f3 @ f3 @ e @ f3i @ f3i)
-    return _equality(
-        f"lantern_assembly(g={g})", "Tc1",
-        "(Ta2 Ta1^-1) (F3 Ta2 Ta1^-1 F3^-1) (F3^2 Ta2 Ta1^-1 F3^-2)",
-        system.curve("c1").twist, rhs,
-    )
+    """T_c1 = (Ta2 Ta1^-1) f3(...)f3^-1 f3^2(...)f3^-2, with F3 the listed generator f3."""
+    holds, sides = equation("Tc1", "(Ta2 Ta1^-1) (F3 Ta2 Ta1^-1 F3^-1) (F3^2 Ta2 Ta1^-1 F3^-2)",
+                            alphabet(g))
+    return Verdict(f"lantern_assembly(g={g})", "pass" if holds else "fail", sides)
 
 
 def sp_modp_order(g, p):

@@ -2,37 +2,39 @@
 
 Composition is functional: in a word the rightmost factor is applied first,
 which matches plain left-to-right matrix multiplication of the assigned
-matrices.  Words are stored as (symbol, exponent) pairs.
+matrices.  Words are stored as (symbol, exponent) pairs, where a symbol is
+a letter or, for a parenthesised group, the group's own word.
 
-The commutation and braid relations of twists are decided by the
-symplectic pairing of the two classes, with no product; the chain and
-lantern relations by their products, which check_chain and check_lantern
-form from the curves curves.py builds.
+Each relation is a pair of words, evaluated by equation over the twist
+letters of its own curves, so a failing verdict prints the words it
+evaluated.  The commutation and braid relations are decided by the
+symplectic pairing of the two classes, with no product, and evaluate
+their words only to print a failure.
 """
 
 from __future__ import annotations
 
 import re
-from functools import reduce
-from operator import matmul
 
-from .curves import (
-    chain_configuration,
-    lantern_configuration,
-    lickorish_system,
-)
+from .curves import chain_configuration, lantern_configuration, lickorish_system
 from .symplectic import Frozen, identity
 
-_TOKEN_RE = re.compile(r"^(?P<name>[A-Za-z][A-Za-z0-9]*)(?:\^(?P<exp>-?\d+))?$")
+_TOKEN_RE = re.compile(r"^(?P<open>\(*)(?P<name>[A-Za-z][A-Za-z0-9]*)(?:\^(?P<exp>-?\d+))?"
+                       r"(?P<close>(?:\)(?:\^-?\d+)?)*)$")
+_CLOSE_RE = re.compile(r"\)(?:\^(-?\d+))?")
 
 
 def evaluate(word, assignment):
-    """Product of assigned matrices, rightmost letter applied first."""
+    """Product of assigned matrices, rightmost letter applied first; a group is a factor."""
     result = None
     for sym, e in word:
-        if sym not in assignment:
+        if not isinstance(sym, str):
+            m = evaluate(sym, assignment)
+        elif sym in assignment:
+            m = assignment[sym]
+        else:
             raise ValueError(f"unassigned symbol {sym!r}")
-        m = assignment[sym] ** e
+        m = m ** e
         result = m if result is None else result @ m
     if result is None:
         genus = next(iter(assignment.values())).genus if assignment else None
@@ -43,10 +45,14 @@ def evaluate(word, assignment):
 
 
 def parse_word(text, known=None):
-    """Parse whitespace-separated tokens like 'Ta1 Tb2^-1 F3^2', or '<empty>'."""
+    """Parse whitespace-separated tokens like 'Ta1 Tb2^-1 (F3 F1)^2', or '<empty>'.
+
+    A group opens with '(' before a letter and closes with ')', with an
+    optional nonzero power, after one; groups nest.  Errors name the token.
+    """
     if text.strip() == "<empty>":
         return ()
-    word = []
+    stack = [(None, [])]  # (position and token that opened the group, its word)
     for pos, token in enumerate(text.split(), start=1):
         m = _TOKEN_RE.match(token)
         if m is None:
@@ -57,20 +63,33 @@ def parse_word(text, known=None):
             raise ValueError(f"token {pos}: zero exponent in {token!r}")
         if known is not None and name not in known:
             raise ValueError(f"token {pos}: unknown generator {token!r}")
-        word.append((name, exp))
-    return tuple(word)
+        stack += [((pos, token), []) for _ in m.group("open")]
+        stack[-1][1].append((name, exp))
+        for power in _CLOSE_RE.findall(m.group("close")):
+            power = int(power or 1)
+            if len(stack) == 1:
+                raise ValueError(f"token {pos}: unmatched ')' in {token!r}")
+            if power == 0:
+                raise ValueError(f"token {pos}: zero exponent in {token!r}")
+            group = tuple(stack.pop()[1])
+            stack[-1][1].append((group, power))
+    if len(stack) > 1:
+        pos, token = stack[-1][0]
+        raise ValueError(f"token {pos}: unclosed '(' in {token!r}")
+    return tuple(stack[0][1])
 
 
 def format_word(word):
+    """The text that parse_word reads back as word."""
     if not word:
         return "<empty>"
-    return " ".join(s if e == 1 else f"{s}^{e}" for s, e in word)
+    return " ".join((s if isinstance(s, str) else f"({format_word(s)})")
+                    + ("" if e == 1 else f"^{e}") for s, e in word)
 
 
-def twist_assignment(g):
-    """Symbol table Ta_i / Tb_i / Tc_i -> transvection matrices."""
-    system = lickorish_system(g)
-    return {f"T{u.name}": u.twist for u in system.curves}
+def twist_letters(curves):
+    """Letter T<name> -> twist matrix, for each curve."""
+    return {f"T{u.name}": u.twist for u in curves}
 
 
 class Verdict(Frozen):
@@ -91,20 +110,18 @@ class Verdict(Frozen):
         return {"check": self.check, "status": self.status, "details": self.details}
 
 
-def _fail_details(word_lhs, word_rhs, lhs, rhs):
-    return {
-        "lhs_word": word_lhs,
-        "rhs_word": word_rhs,
-        "lhs_matrix": lhs.to_lists(),
-        "rhs_matrix": rhs.to_lists(),
-    }
+def equation(lhs, rhs, letters, always=False):
+    """The words lhs and rhs evaluated over letters: (whether they agree, details).
 
-
-def _equality(name, word_lhs, word_rhs, lhs, rhs):
-    """Pass when lhs == rhs, else fail with both words and matrices."""
-    if lhs == rhs:
-        return Verdict(name, "pass")
-    return Verdict(name, "fail", _fail_details(word_lhs, word_rhs, lhs, rhs))
+    details holds both words and their matrices when the two differ, or
+    when always is set; else it is empty, and no dense row is built.
+    """
+    left, right = (evaluate(parse_word(w), letters) for w in (lhs, rhs))
+    holds = left == right
+    if holds and not always:
+        return True, {}
+    return holds, {"lhs_word": lhs, "rhs_word": rhs,
+                   "lhs_matrix": left.to_lists(), "rhs_matrix": right.to_lists()}
 
 
 def pairing(u, v):
@@ -130,8 +147,8 @@ def _pair_verdict(u, v, meet):
         return Verdict(name, "pass")
     rhs = tuple(v if c is u else u for c in lhs)
     words = (" ".join(f"T{c.name}" for c in side) for side in (lhs, rhs))
-    matrices = (reduce(matmul, (c.twist for c in side)) for side in (lhs, rhs))
-    return Verdict(name, "fail", _fail_details(*words, *matrices))
+    _, sides = equation(*words, twist_letters((u, v)), always=True)
+    return Verdict(name, "fail", sides)
 
 
 def check_chain(t, g):
@@ -140,21 +157,16 @@ def check_chain(t, g):
     Raises ValueError when the t-chain does not fit in genus g.
     """
     config = chain_configuration(t, g)
-    q = reduce(matmul, (u.twist for u in config.curves)) ** config.power
-    rhs = reduce(matmul, (u.twist for u in config.boundary))
-    chain_word = " ".join(f"T{u.name}" for u in config.curves)
-    ok = q == rhs
+    chain = " ".join(f"T{u.name}" for u in config.curves)
+    holds, sides = equation(f"({chain})^{config.power}",
+                            " ".join(f"T{u.name}" for u in config.boundary),
+                            twist_letters(config.curves + config.boundary))
     details = {
         "power": config.power,
         "boundary": {u.name: list(u.cls.coords) for u in config.boundary},
+        **sides,
     }
-    if not ok:
-        details.update(
-            _fail_details(f"({chain_word})^{config.power}",
-                          " ".join(f"T{u.name}" for u in config.boundary) or "1",
-                          q, rhs)
-        )
-    return Verdict(f"chain(t={t},g={g})", "pass" if ok else "fail", details)
+    return Verdict(f"chain(t={t},g={g})", "pass" if holds else "fail", details)
 
 
 def check_lantern(g):
@@ -164,22 +176,18 @@ def check_lantern(g):
     checks the other disjoint pairs of the lantern, all Lickorish curves, as
     commute(...) verdicts.  Raises ValueError below genus 3.
     """
-    config = lantern_configuration(g)
-    roles = config.roles
-    ta, tb, tc, td, tx, ty, tz = (roles[r].twist for r in "abcdxyz")
-    lhs = ta @ tb @ tc @ td
-    rhs = tx @ ty @ tz
-    product_ok = lhs == rhs
-    rewritten_ok = td == (tx @ ta.inv()) @ (ty @ tb.inv()) @ (tz @ tc.inv())
+    roles = lantern_configuration(g).roles
+    letters = {f"T{r}": u.twist for r, u in roles.items()}
+    product_ok, sides = equation("Ta Tb Tc Td", "Tx Ty Tz", letters)
+    rewritten_ok, _ = equation("Td", "(Tx Ta^-1) (Ty Tb^-1) (Tz Tc^-1)", letters)
     commute_ok = all(pairing(roles[r], roles[s]) == 0 for r in "abcd" for s in "yz")
     ok = product_ok and rewritten_ok and commute_ok
     details = {
         "product_form": product_ok,
         "rewritten_form": rewritten_ok,
         "disjoint_commutations": commute_ok,
+        **sides,
     }
-    if not product_ok:
-        details.update(_fail_details("Ta Tb Tc Td", "Tx Ty Tz", lhs, rhs))
     return Verdict(f"lantern(g={g})", "pass" if ok else "fail", details)
 
 

@@ -24,7 +24,7 @@ from mcgtorsion import curves, theorem, torsion, words  # noqa: E402
 from mcgtorsion.curves import ChainConfig, LickorishSystem, NamedCurve  # noqa: E402
 from mcgtorsion.symplectic import HomologyClass, transvection  # noqa: E402
 from mcgtorsion.theorem import OrbitSet  # noqa: E402
-from mcgtorsion.words import _equality  # noqa: E402
+from mcgtorsion.words import Verdict, equation, twist_letters  # noqa: E402
 
 
 def mm(a, b):
@@ -99,22 +99,20 @@ def symplectic_form(x, y):
     return sum(a[i] * b[g + i] - a[g + i] * b[i] for i in range(g))
 
 
+def _product_verdict(name, lhs, rhs, u, v):
+    holds, sides = equation(lhs, rhs, twist_letters((u, v)))
+    return Verdict(f"{name}({u.name},{v.name})", "pass" if holds else "fail", sides)
+
+
 def check_commuting(u, v):
     """T_u T_v = T_v T_u by the products; the oracle for commute(...) verdicts."""
-    return _equality(
-        f"commute({u.name},{v.name})",
-        f"T{u.name} T{v.name}", f"T{v.name} T{u.name}",
-        u.twist @ v.twist, v.twist @ u.twist,
-    )
+    return _product_verdict("commute", f"T{u.name} T{v.name}", f"T{v.name} T{u.name}", u, v)
 
 
 def check_braid(u, v):
     """T_u T_v T_u = T_v T_u T_v by the products; the oracle for braid(...) verdicts."""
-    return _equality(
-        f"braid({u.name},{v.name})",
-        f"T{u.name} T{v.name} T{u.name}", f"T{v.name} T{u.name} T{v.name}",
-        u.twist @ v.twist @ u.twist, v.twist @ u.twist @ v.twist,
-    )
+    return _product_verdict("braid", f"T{u.name} T{v.name} T{u.name}",
+                            f"T{v.name} T{u.name} T{v.name}", u, v)
 
 
 def check_conjugacy(f, c):

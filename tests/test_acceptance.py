@@ -19,6 +19,7 @@ from mcgtorsion.symplectic import (
     transvection,
 )
 from mcgtorsion.theorem import (
+    alphabet,
     full_theorem_report,
     lantern_assembly_check,
     luo_decomposition_check,
@@ -27,12 +28,7 @@ from mcgtorsion.theorem import (
     property1_orbit_check,
 )
 from mcgtorsion.torsion import build_genus3_extras, theorem_generators
-from mcgtorsion.words import (
-    check_lantern,
-    evaluate,
-    relation_suite,
-    twist_assignment,
-)
+from mcgtorsion.words import check_lantern, evaluate, relation_suite
 
 
 def test_criterion_1_relation_suite():
@@ -141,7 +137,7 @@ def test_criterion_7_infrastructure_properties():
     t0 = time.perf_counter()
     rng = random.Random(20260810)
     for g in (2, 3, 4):
-        assignment = twist_assignment(g)
+        assignment = alphabet(g)
         symbols = sorted(assignment)
         for _ in range(100):
             cut = rng.randint(0, 6)

@@ -6,8 +6,11 @@ generator (conftest.swap_generator), patches a module constant, or wraps a
 builder.  At each of its genera, full_theorem_report must then fail exactly
 the row's verdicts, each named section:check, or raise the row's
 RuntimeError from a build check.  A row may also state detail values of
-the verdicts it fails.  The meta-tests fail when a verdict kind of a
-passing report, or a `raise RuntimeError` in src/mcgtorsion, has no row.
+the verdicts it fails, and one that states a verdict's lhs_word states
+them all.  test_printed_words_replay evaluates each word a failed verdict
+prints, over the letters that verdict reads, against the matrix printed
+beside it.  The meta-tests fail when a verdict kind of a passing report,
+or a `raise RuntimeError` in src/mcgtorsion, has no row.
 """
 
 import ast
@@ -18,13 +21,13 @@ from typing import Callable, NamedTuple
 import pytest
 
 from conftest import drop_generator, swap_boundary, swap_class, swap_generator
-from mcgtorsion import curves, theorem, torsion
+from mcgtorsion import curves, theorem, torsion, words
 from mcgtorsion.chain import StabilizerChain
 from mcgtorsion.curves import LickorishSystem, _pad, lickorish_system
 from mcgtorsion.symplectic import SympMatrix, alpha, identity
 from mcgtorsion.theorem import full_theorem_report, lickorish_words
 from mcgtorsion.torsion import build_f1, build_f2, conjugated_involution
-from mcgtorsion.words import evaluate, parse_word, relation_suite, twist_assignment
+from mcgtorsion.words import evaluate, parse_word, relation_suite, twist_letters
 
 
 class Row(NamedTuple):
@@ -98,17 +101,41 @@ def _f4(g):
     return conjugated_involution(g).matrix.to_lists()
 
 
-def _word(text, power=1):
-    """A function of g: the twist word text, to a power, as lists."""
-    return lambda g: (evaluate(parse_word(text), twist_assignment(g)) ** power).to_lists()
+def letters(verdict, g):
+    """The letters that the words of a verdict, section:check, are evaluated over.
+
+    Each is read as the verdict reads it, so under a row's tampering it is
+    the tampered one: the theorem verdicts read theorem.alphabet, and the
+    relations the twists of their own curves, taken from module words.
+    """
+    section, check = verdict.split(":", 1)
+    if section == "theorem":
+        return theorem.alphabet(g)
+    if check.startswith("lantern"):
+        return {f"T{r}": u.twist for r, u in words.lantern_configuration(g).roles.items()}
+    if check.startswith("chain"):
+        config = words.chain_configuration(int(re.match(r"chain\(t=(\d+)", check)[1]), g)
+        return twist_letters(config.curves + config.boundary)
+    return twist_letters(words.lickorish_system(g).curves)
+
+
+def _word(text, verdict="theorem:"):
+    """A function of g: the word text over the letters of verdict, as lists."""
+    return lambda g: evaluate(parse_word(text), letters(verdict, g)).to_lists()
 
 
 ROWS = [
     # relations: a class that misses a declared intersection, or meets a declared-disjoint curve
     Row("c1-is-a1+a3", (4,), lambda mp, g: swap_class(mp, g, "c1", _pad((1, 0, 1), g)),
         ("relations:braid(b2,c1)", "relations:commute(b3,c1)"),
-        details={"relations:braid(b2,c1)": {"lhs_word": "Tb2 Tc1 Tb2", "rhs_word": "Tc1 Tb2 Tc1"},
-                 "relations:commute(b3,c1)": {"lhs_word": "Tb3 Tc1", "rhs_word": "Tc1 Tb3"}}),
+        details={"relations:braid(b2,c1)": {
+                     "lhs_word": "Tb2 Tc1 Tb2", "rhs_word": "Tc1 Tb2 Tc1",
+                     "lhs_matrix": _word("Tb2 Tc1 Tb2", "relations:braid"),
+                     "rhs_matrix": _word("Tc1 Tb2 Tc1", "relations:braid")},
+                 "relations:commute(b3,c1)": {
+                     "lhs_word": "Tb3 Tc1", "rhs_word": "Tc1 Tb3",
+                     "lhs_matrix": _word("Tb3 Tc1", "relations:commute"),
+                     "rhs_matrix": _word("Tc1 Tb3", "relations:commute")}}),
     # with [b1] = [a1] the braid products agree, but curves declared to meet
     # once cannot have parallel classes
     Row("b1-is-a1", (3,), lambda mp, g: swap_class(mp, g, "b1", alpha(1, g).coords),
@@ -119,13 +146,16 @@ ROWS = [
         ("relations:chain(t=3,g={g})",),
         details={"relations:chain(t=3,g={g})": {
             "power": 4, "lhs_word": "(Ta1 Tb1 Tc1)^4", "rhs_word": "Td1 Td2",
-            "lhs_matrix": _word("Ta1 Tb1 Tc1", 4), "rhs_matrix": _word("Ta1^2"),
+            "lhs_matrix": _word("(Ta1 Tb1 Tc1)^4"), "rhs_matrix": _word("Ta1^2"),
             "boundary": lambda g: {"d1": list(alpha(1, g).coords),
                                    "d2": list((-alpha(1, g)).coords)}}}),
     Row("lantern-y-is-a1+a3-relations", (3, 4), patch(curves.LANTERN_INTERIOR, "y", (1, 0, 1)),
         ("relations:lantern(g={g})",), run={"checks": {"relations"}},
-        details={"relations:lantern(g={g})": {"product_form": False, "lhs_word": "Ta Tb Tc Td",
-                                              "rhs_word": "Tx Ty Tz"}}),
+        details={"relations:lantern(g={g})": {
+            "product_form": False, "rewritten_form": False, "disjoint_commutations": True,
+            "lhs_word": "Ta Tb Tc Td", "rhs_word": "Tx Ty Tz",
+            "lhs_matrix": _word("Ta1 Tc2 Ta3 Tc1", "relations:commute"),
+            "rhs_matrix": _word("Tx Ty Tz", "relations:lantern")}}),
     # torsion: a false claimed order, and f2 f1 that is not the handle shift
     *(Row(f"order-of-{name.replace(' ', '')}-claimed-{order}", genera,
           swap(name, claimed_order=order), (f"torsion:order({name})",))
@@ -150,7 +180,8 @@ ROWS = [
         ("torsion:order(f3)", "theorem:lantern_assembly", "theorem:orbit"),
         details={"theorem:lantern_assembly": {
                      "lhs_word": "Tc1", "lhs_matrix": _word("Tc1"),
-                     "rhs_matrix": _word("Ta2 Ta1^-1", 3)},
+                     "rhs_word": "(Ta2 Ta1^-1) (F3 Ta2 Ta1^-1 F3^-1) (F3^2 Ta2 Ta1^-1 F3^-2)",
+                     "rhs_matrix": _word("(Ta2 Ta1^-1)^3")},
                  # every curve whose word passes through f3 is missed, each other one reached
                  "theorem:orbit": {
                      "missing": lambda g: sorted(u for u, w in lickorish_words(g).items()
@@ -274,8 +305,24 @@ def test_control(row, g, monkeypatch, clear_caches):
         v.split(":")[0] for v in failed}
     for verdict, want in row.details.items():
         got = details(report, verdict.format(g=g))
-        assert {k: got[k] for k in want} == {k: v(g) if callable(v) else v
-                                             for k, v in want.items()}
+        # a row that states a verdict's words states every detail of it
+        assert {k: got[k] for k in (got if "lhs_word" in want else want)} == {
+            k: v(g) if callable(v) else v for k, v in want.items()}
+
+
+@pytest.mark.parametrize("row, g", [pytest.param(row, g, id=f"{row.id}-g{g}")
+                                    for row in ROWS if not row.raises for g in row.genera])
+def test_printed_words_replay(row, g, monkeypatch, clear_caches):
+    # each word a failed verdict prints parses, and over the letters that
+    # verdict reads it gives the matrix printed beside it
+    row.tamper(monkeypatch, g)
+    report, _ = full_theorem_report(g, **row.run)
+    for verdict in (v for v, ok in verdicts(report).items() if not ok):
+        got = details(report, verdict)
+        for side in ("lhs", "rhs"):
+            if f"{side}_word" in got:
+                word = parse_word(got[f"{side}_word"])
+                assert evaluate(word, letters(verdict, g)).to_lists() == got[f"{side}_matrix"]
 
 
 def kind(verdict):

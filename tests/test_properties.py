@@ -38,7 +38,7 @@ from mcgtorsion.symplectic import (
 )
 from mcgtorsion.theorem import convention_record
 from mcgtorsion.torsion import build_f1, build_f2, theorem_generators
-from mcgtorsion.words import _pair_verdict, evaluate, format_word, parse_word, twist_assignment
+from mcgtorsion.words import _pair_verdict, evaluate, format_word, parse_word, twist_letters
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -111,11 +111,15 @@ def test_mod2_chain_matches_closure_on_g3_torsion_subsets(subset, data):
     assert _replay_mod2(word, mats) == prod
 
 
-SYMBOLS = ("Ta1", "Tb1", "Ta2", "Tc1", "F1", "F2", "F3")
-WORDS = st.lists(
-    st.tuples(st.sampled_from(SYMBOLS), st.integers(-4, 4).filter(bool)),
-    max_size=8,
-).map(tuple)
+SYMBOLS = ("Ta1", "Tb1", "Ta2", "Tc1", "F1", "F2", "F3", "F4", "Tau")
+POWERS = st.integers(-4, 4).filter(bool)
+# a letter, or a nonempty group of them (nested) with its power
+FACTORS = st.recursive(
+    st.tuples(st.sampled_from(SYMBOLS), POWERS),
+    lambda inner: st.tuples(st.lists(inner, min_size=1, max_size=4).map(tuple), POWERS),
+    max_leaves=12,
+)
+WORDS = st.lists(FACTORS, max_size=6).map(tuple)
 
 
 @PROPERTY
@@ -124,7 +128,7 @@ def test_parse_inverts_format(word):
     assert parse_word(format_word(word)) == word
 
 
-TWISTS = {g: twist_assignment(g) for g in (2, 3)}
+TWISTS = {g: twist_letters(lickorish_system(g).curves) for g in (2, 3)}
 
 
 def _twist_products(g):

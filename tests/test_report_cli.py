@@ -321,6 +321,28 @@ def test_cli_eval_reads_generators_by_name(g, text):
     assert proc.stdout.splitlines() == want
 
 
+@pytest.mark.parametrize("g", (3, 4))
+@pytest.mark.parametrize("lhs, rhs", [
+    ("Ta2 Ta1^-1", "F2 F4"),  # Luo
+    ("F4^2", "<empty>"),
+    ("Tc1", "(Ta2 Ta1^-1) (F3 Ta2 Ta1^-1 F3^-1) (F3^2 Ta2 Ta1^-1 F3^-2)"),  # lantern assembly
+    ("Tc1", "(F2 F4 F3)^3"),
+    ("Tb1 Tc1 Tb1", "Tc1 Tb1 Tc1"),  # a braid and a commutation, as relations print them
+    ("Ta1 Ta2", "Ta2 Ta1"),
+    ("(Ta1 Tb1 Tc1)^4", "Ta2^2"),  # the 3-chain, whose boundary pair is +/-a2
+])
+def test_cli_eval_replays_printed_identities(capsys, g, lhs, rhs):
+    # --eval reads each word the theorem section and the pairwise relations
+    # print, and both sides of each identity print one matrix
+    matrices = []
+    for text in (lhs, rhs):
+        assert cli.main(["--genus", str(g), "--eval", text]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"word: {text}"
+        matrices.append(out[1:])
+    assert matrices[0] == matrices[1]
+
+
 def test_cli_eval_rejects_unknown_token():
     proc = _run_cli("--genus", "3", "--eval", "Bogus^2")
     assert proc.returncode == 2
@@ -336,6 +358,10 @@ def test_cli_eval_rejects_unknown_token():
     # rejected by full_theorem_report or lickorish_system, not by the CLI
     ("--genus", "1"),
     ("--genus", "1", "--eval", "Ta1"),
+    # rejected by words.parse_word: an unmatched ')', an unclosed '(', a zero group power
+    ("--genus", "3", "--eval", "Ta1 Tb1)"),
+    ("--genus", "3", "--eval", "(Ta1 Tb1"),
+    ("--genus", "3", "--eval", "(Ta1 Tb1)^0"),
     ("--genus", "3", "--checks", "modp"),
 ])
 def test_cli_parser_errors_are_one_line(args):

@@ -299,6 +299,20 @@ def test_large_powers_stay_exact():
     assert max(abs(x) for row in big.rows for x in row) >= 40
 
 
+def test_power_starts_from_the_first_factor(monkeypatch):
+    # M ** k multiplies by squaring from M itself, so M ** 1 makes no product
+    calls = []
+    real = symplectic.mul_rows
+    monkeypatch.setattr(symplectic, "mul_rows", lambda a, b: calls.append(1) or real(a, b))
+    m = transvection(HomologyClass((1, 1, 0, 2), 2))
+    for k, products in ((1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (-1, 0), (-2, 1)):
+        calls.clear()
+        assert (m ** k).to_lists() == mpow((m if k > 0 else m.inv()).to_lists(), abs(k))
+        assert len(calls) == products, k
+    calls.clear()
+    assert m ** 0 == identity(2) and not calls
+
+
 def test_homology_class_validation():
     with pytest.raises(ValueError):
         HomologyClass((1, 0, 0), 2)

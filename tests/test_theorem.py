@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import drop_generator, orbit_closure, swap_generator
+from conftest import drop_generator, orbit_closure
 from mcgtorsion.curves import lickorish_system
 from mcgtorsion.kernels import modp_closure
 from mcgtorsion import cli, curves, theorem, torsion, words
@@ -20,7 +20,7 @@ from mcgtorsion.theorem import (
     property1_orbit_check,
     sp_modp_order,
 )
-from mcgtorsion.torsion import build_f2, theorem_generators
+from mcgtorsion.torsion import theorem_generators
 
 
 @pytest.mark.parametrize("g", range(3, 9))
@@ -28,39 +28,10 @@ def test_luo_decomposition(g):
     assert luo_decomposition_check(g).passed
 
 
-@pytest.mark.parametrize("g", (3, 4, 8))
-def test_luo_reads_the_listed_third_generator(monkeypatch, g):
-    # f2 is an involution too, so every other check passes with it in
-    # place of Ta1 f2 Ta1^-1; the Luo verdict reads the listed F4 and fails
-    swap_generator(monkeypatch, g, "Ta1 f2 Ta1^-1", matrix=build_f2(g).matrix)
-    report, _ = full_theorem_report(g)
-    assert report["passed"] is False
-    checks = report["checks"]
-    assert checks["relations"]["passed"] and checks["torsion"]["passed"]
-    section = checks["theorem"]
-    assert section["passed"] is False
-    assert section["luo"]["status"] == "fail"
-    assert section["luo"]["details"]["equal"] is False
-    assert section["luo"]["details"]["conjugate_is_involution"] is True
-    assert section["lantern_assembly"]["status"] == section["orbit"]["status"] == "pass"
-
-
 @pytest.mark.parametrize("g", range(3, 9))
 def test_lantern_assembly(g):
-    assert lantern_assembly_check(g).passed
-
-
-def test_lantern_assembly_negative_control(monkeypatch):
-    # f3 replaced by the identity in the listed set
-    for g in (3, 4):
-        swap_generator(monkeypatch, g, "f3", matrix=identity(g))
-        v = lantern_assembly_check(g)
-        assert not v.passed
-        assert set(v.details) == {"lhs_word", "rhs_word", "lhs_matrix", "rhs_matrix"}
-        assert v.details["lhs_word"] == "Tc1"
-        assert v.details["lhs_matrix"] != v.details["rhs_matrix"]
-        monkeypatch.undo()
-        assert lantern_assembly_check(g).details == {}
+    verdict = lantern_assembly_check(g)
+    assert verdict.passed and verdict.details == {}
 
 
 @pytest.mark.parametrize("reorder", ("reversed", "rotated"))
@@ -188,16 +159,6 @@ def test_orbit_words_conjugate_twists(g):
     for u in lickorish_system(g).curves:
         _, w = _endpoint_and_matrix(g, words[u.name])
         assert w @ ta1 @ w.inv() == u.twist, u.name
-
-
-@pytest.mark.parametrize("g", (4, 5))
-def test_orbit_negative_control_f3_identity(monkeypatch, g):
-    swap_generator(monkeypatch, g, "f3", matrix=identity(g))
-    verdict, _ = property1_orbit_check(g)
-    assert verdict.status == "fail"
-    want = [f"b{i}" for i in range(1, g + 1)] + [f"c{i}" for i in range(1, g)]
-    assert verdict.details["missing"] == sorted(want)
-    assert sorted(verdict.details["witnesses"]) == sorted(f"a{i}" for i in range(1, g + 1))
 
 
 def test_orbit_verdict_independent_of_generator_order():

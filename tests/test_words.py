@@ -15,7 +15,8 @@ from mcgtorsion.curves import (
     lickorish_system,
 )
 from mcgtorsion.symplectic import HomologyClass, alpha, beta, identity, transvection
-from mcgtorsion.torsion import build_f2, theorem_generators
+from mcgtorsion.theorem import alphabet
+from mcgtorsion.torsion import build_f2, sigma_matrix, theorem_generators
 from mcgtorsion.words import (
     check_chain,
     check_lantern,
@@ -23,35 +24,38 @@ from mcgtorsion.words import (
     format_word,
     parse_word,
     relation_suite,
-    twist_assignment,
 )
 
 
 def test_evaluate_empty_word_is_identity():
-    assignment = twist_assignment(2)
+    assignment = alphabet(2)
     assert evaluate((), assignment) == identity(2)
 
 
 def test_evaluate_unassigned_symbol():
     with pytest.raises(ValueError):
-        evaluate((("F9", 1),), twist_assignment(2))
+        evaluate((("F9", 1),), alphabet(2))
 
 
 def test_evaluate_is_right_to_left():
     # Ta1 Tb1 means Tb1 applied first: matrix product in word order
-    assignment = twist_assignment(2)
+    assignment = alphabet(2)
     word = (("Ta1", 1), ("Tb1", 1))
     assert evaluate(word, assignment) == assignment["Ta1"] @ assignment["Tb1"]
 
 
-def test_evaluate_homomorphism_on_random_words():
-    from mcgtorsion.torsion import build_f1
+def test_evaluate_groups_as_their_expansion():
+    letters = alphabet(3)
+    for grouped, flat in (("(Ta1 Tb1^-1)^-2 Tc1", "Tb1 Ta1^-1 Tb1 Ta1^-1 Tc1"),
+                          ("(F2 (F4 F3)^2)^2", "F2 F4 F3 F4 F3 F2 F4 F3 F4 F3"),
+                          ("(Ta2)", "Ta2")):
+        assert evaluate(parse_word(grouped), letters) == evaluate(parse_word(flat), letters)
 
+
+def test_evaluate_homomorphism_on_random_words():
     rng = random.Random(99)
     for g in (2, 3):
-        assignment = twist_assignment(g)
-        assignment["F1"] = build_f1(g).matrix
-        assignment["F2"] = build_f2(g).matrix
+        assignment = alphabet(g)
         symbols = sorted(assignment)
         for _ in range(50):
             u = tuple((rng.choice(symbols), rng.randint(-3, 3) or 1)
@@ -74,11 +78,29 @@ def test_order_g_product_via_words():
 
 def test_conjugated_involution_via_words():
     g = 4
-    assignment = twist_assignment(g)
-    assignment["F2"] = build_f2(g).matrix
+    assignment = alphabet(g)
     m = evaluate(parse_word("Ta1 F2 Ta1^-1", known=set(assignment)), assignment)
     assert (m @ m).is_identity
     assert not m.is_identity
+    assert m == assignment["F4"]
+
+
+@pytest.mark.parametrize("g", (2, 3, 4, 8))
+def test_alphabet_letters(g):
+    # the twists of every Lickorish curve; the listed generators from genus 3,
+    # with tau and sigma at genus 3 alone
+    letters = alphabet(g)
+    twists = {f"T{u.name}": u.twist for u in lickorish_system(g).curves}
+    assert {k: letters[k] for k in twists} == twists
+    extra = set(letters) - set(twists)
+    gens = {c.name: c.matrix for c in theorem_generators(g)} if g >= 3 else {}
+    want = {"F1": "f1", "F2": "f2", "F3": "f3", "F4": "Ta1 f2 Ta1^-1"} if g >= 3 else {}
+    if g == 3:
+        want["Tau"] = "sigma^-1 f1 sigma"
+        assert letters["Sigma"] == sigma_matrix()
+        extra.discard("Sigma")
+    assert extra == set(want)
+    assert all(letters[k] == gens[name] for k, name in want.items())
 
 
 def test_parse_word_tokens():
@@ -97,9 +119,37 @@ def test_parse_word_rejects_zero_exponent():
         parse_word("Ta1^0")
 
 
+def test_parse_word_groups():
+    # a group is stored as (its word, its power); groups nest
+    a, b, c = ("Ta1", 1), ("Tb1", -1), ("Tc1", 2)
+    assert parse_word("(Ta1 Tb1^-1)^3 Tc1^2") == (((a, b), 3), c)
+    assert parse_word("((Ta1)^-2 Tb1^-1) Tc1^2") == (((((a,), -2), b), 1), c)
+    assert parse_word("(Ta1 (Tb1^-1 Tc1^2)^2)^-1") == (((a, ((b, c), 2)), -1),)
+    assert parse_word("((Ta1))") == (((((a,), 1),), 1),)
+
+
+@pytest.mark.parametrize("text, message", [
+    # ungrouped tokens: the messages the CLI has always printed
+    ("Ta1 Junk!", "token 2: cannot parse 'Junk!'"),
+    ("Ta1^0", "token 1: zero exponent in 'Ta1^0'"),
+    ("Ta1 Nope^2", "token 2: unknown generator 'Nope^2'"),
+    # groups
+    ("Ta1 Tb1)", "token 2: unmatched ')' in 'Tb1)'"),
+    ("(Ta1 Tb1)^2)", "token 2: unmatched ')' in 'Tb1)^2)'"),
+    ("Ta1 (Tb1 (Ta1 Tb1)^2", "token 2: unclosed '(' in '(Tb1'"),
+    ("(Ta1 Tb1)^0", "token 2: zero exponent in 'Tb1)^0'"),
+    ("( Ta1 )", "token 1: cannot parse '('"),
+])
+def test_parse_word_errors_name_the_token(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_word(text, known={"Ta1", "Tb1"})
+    assert str(exc.value) == message
+
+
 def test_format_word_round_trip():
     word = (("Ta1", 1), ("Tb2", -1), ("F3", 2))
     assert parse_word(format_word(word)) == word
+    assert format_word(((word, 3), ("Tc1", 1))) == "(Ta1 Tb2^-1 F3^2)^3 Tc1"
     assert format_word(()) == "<empty>"
     assert parse_word(format_word(())) == ()
 
@@ -138,16 +188,6 @@ def test_wrong_class_fails_pairwise_verdicts_like_the_oracle(monkeypatch, capsys
     # the CLI reports the failure with exit status 1, not a traceback
     assert cli.main(["--genus", str(g), "--checks", "relations"]) == 1
     assert "braid(b2,c1)" in capsys.readouterr().out
-
-
-def test_parallel_classes_declared_to_meet_fail_braid(monkeypatch):
-    # with [b1] = [a1] the twists are equal, so the braid products agree, but
-    # curves declared to meet once cannot have parallel classes
-    g = 3
-    swap_class(monkeypatch, g, "b1", alpha(1, g).coords)
-    verdict = next(v for v in relation_suite(g) if v.check == "braid(a1,b1)")
-    assert verdict.status == "fail"
-    assert verdict.details["lhs_matrix"] == verdict.details["rhs_matrix"]
 
 
 def test_relation_suite_makes_no_pairwise_product(monkeypatch):
@@ -238,20 +278,6 @@ def test_check_chain_rejects_every_other_basis_boundary(monkeypatch):
     assert cases == 90
 
 
-def test_check_chain_fails_with_both_sides(monkeypatch):
-    swap_boundary(monkeypatch, 3, alpha(1, 3))
-    v = check_chain(3, 3)
-    assert v.status == "fail"
-    assert set(v.details) == {
-        "power", "boundary", "lhs_word", "rhs_word", "lhs_matrix", "rhs_matrix",
-    }
-    assert v.details["power"] == 4
-    assert v.details["boundary"] == {"d1": [1, 0, 0, 0, 0, 0], "d2": [-1, 0, 0, 0, 0, 0]}
-    assert v.details["lhs_word"] == "(Ta1 Tb1 Tc1)^4"
-    assert v.details["rhs_word"] == "Td1 Td2"
-    assert v.details["lhs_matrix"] != v.details["rhs_matrix"]
-
-
 def test_check_chain_uninstantiable():
     with pytest.raises(ValueError, match="does not fit"):
         check_chain(5, 2)
@@ -279,7 +305,7 @@ def test_check_conjugacy_identity_and_f2():
 def test_conjugacy_property_random():
     rng = random.Random(4242)
     for g in (2, 3, 4):
-        assignment = twist_assignment(g)
+        assignment = alphabet(g)
         symbols = sorted(assignment)
         for _ in range(100):
             word = tuple(
