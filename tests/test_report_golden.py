@@ -1,9 +1,11 @@
-"""Golden digests of the byte-stable `report` part of `mcg-verify --output structured`.
+"""Golden digests of the byte-stable `report` part of `mcg-verify --output structured`,
+and of the text report.
 
-Each digest is the sha256 of `comparable_json` (tests/conftest.py) of the
-emitted envelope.  A change to the arithmetic kernels must leave these
-unchanged; a deliberate change to the report needs a schema bump and new
-digests.
+Each structured digest is the sha256 of `comparable_json` (tests/conftest.py)
+of the emitted envelope; each text digest is the sha256 of `--output text`
+without its `# time` lines.  A change to the arithmetic kernels must leave
+these unchanged; a deliberate change to the report needs a schema bump and
+new digests.
 """
 
 import hashlib
@@ -54,6 +56,38 @@ GOLDEN = {
         "87171c3b9a1476dd3057e1446ad61ddfdf5cf3dc67b76217624f78f726ced297",
 }
 
+# the same runs with --output text, without the "# time" lines
+TEXT_GOLDEN = {
+    ("--genus", "3"):
+        "d3e05581287510218cc39e777cb0e78d254cd1ca89f4f6dbf0e3f29607dd052f",
+    ("--genus", "4"):
+        "2f2256c4b1bf949bdc60275514e489a8fbba4a661d58f5c23a377e2b2aea6470",
+    ("--genus", "3", "--checks", "modp", "--prime", "2"):
+        "1c782d0b2576b8793314493ddbc2654319e9c363f76f36bee12abaea51f93938",
+    ("--genus", "8"):
+        "080568af9e9752bf05409722e11fadb6d6540eab9b17ad3e598cf9caac8b9c53",
+    ("--genus", "4", "--checks", "modp", "--prime", "2"):
+        "67deaad37d260cf6ddf320e4c193dd22ae832e8dfedc0ddb145f40ef8fbc4fa9",
+    ("--genus", "3", "--prime", "2", "--witness"):
+        "4ebdf8a5f9d87bbedf9319f4b6ec5275fc92bdfb3b4119d2ed0b4ea029a0226e",
+    ("--genus", "5"):
+        "ed1ed255ed52161c58264b52729f9271ccc0392e788cb5e50933c44de15541e5",
+    ("--genus", "16"):
+        "982211a9b18afb3a386b8ccde7cc74882f401ec236e02e76b96c7f0a4cbada9f",
+    ("--genus", "3", "--checks", "modp", "--prime", "3"):
+        "f89f7e02412c2579ba476a8f3df9e8a0b17ac3d16a0c9338f7d2b0a872cdc93f",
+    ("--genus", "2"):
+        "9dc1addd091b1d3129c1e8a34e1d4cd533cf58ebc3d10bc96c606bf7df07891b",
+    ("--genus", "6"):
+        "b2daeb245b0c7b19866e7da1cd0a25e7e284a5a59e72b754dbfb80cf7c3c95b7",
+    ("--genus", "12"):
+        "4d32309e4a188ee56c9d7f6650a915192731ca06693bcd9bcf42888ef3f0f3ea",
+    ("--genus", "6", "--checks", "modp", "--prime", "2"):
+        "67a56d26e86f8bdc6cd4c7167ae00fbae1b5169c4103201db4bec0f01454080c",
+    ("--genus", "8", "--checks", "modp", "--prime", "2"):
+        "0e4a907a4e269b027cb2cd880158862fca4f8c6b40beb0481b86847b93848f74",
+}
+
 
 def _digest(text):
     return hashlib.sha256(comparable_json(json.loads(text)).encode()).hexdigest()
@@ -63,6 +97,14 @@ def _digest(text):
 def test_report_matches_golden_digest(args, capsys):
     assert cli.main([*args, "--output", "structured"]) == 0
     assert _digest(capsys.readouterr().out) == GOLDEN[args]
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN), ids=" ".join)
+def test_text_report_matches_golden_digest(args, capsys):
+    assert cli.main(list(args)) == 0
+    kept = [line for line in capsys.readouterr().out.splitlines(keepends=True)
+            if not line.startswith("# time ")]
+    assert hashlib.sha256("".join(kept).encode()).hexdigest() == TEXT_GOLDEN[args]
 
 
 @pytest.mark.parametrize(
