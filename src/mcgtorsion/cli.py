@@ -13,7 +13,7 @@ import stat
 import sys
 
 from . import report as report_mod
-from .theorem import CHECK_NAMES, alphabet, full_theorem_report
+from .theorem import CHECKS, alphabet, full_theorem_report
 from .words import evaluate, format_word, parse_word
 
 
@@ -28,6 +28,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+def _genus_help():
+    """The least genus, then the checks of CHECKS that need more, by their min_genus."""
+    needs = "; ".join(
+        " and ".join(", ".join(n for n, c in CHECKS.items() if c.min_genus == k).rsplit(", ", 1))
+        + f" need >= {k}" for k in sorted({c.min_genus for c in CHECKS.values()} - {2}))
+    return f"surface genus, >= 2 ({needs})" if needs else "surface genus, >= 2"
+
+
 def build_parser():
     parser = _Parser(
         prog="mcg-verify",
@@ -36,12 +44,11 @@ def build_parser():
             "at the level of the integral symplectic representation."
         ),
     )
-    parser.add_argument("--genus", type=int, required=True,
-                        help="surface genus, >= 2 (torsion, theorem and modp need >= 3)")
+    parser.add_argument("--genus", type=int, required=True, help=_genus_help())
     parser.add_argument(
         "--checks",
         default=None,
-        help=f"comma-separated subset of {','.join(CHECK_NAMES)} (default: all applicable)",
+        help=f"comma-separated subset of {','.join(CHECKS)} (default: all applicable)",
     )
     parser.add_argument("--prime", type=int, default=None,
                         help="small prime for the modp certificate")

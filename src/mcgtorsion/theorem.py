@@ -6,14 +6,18 @@ involution Ta1 f2 Ta1^-1, the assembly of T_c1 from conjugates of
 Ta2 Ta1^-1 by the order-3 element f3, the single-orbit property of the
 Lickorish classes under the torsion group, and finite certificates that
 the generator images span the full symplectic group over a small prime.
-Each identity is a pair of words, evaluated by words.equation over
-alphabet(g) in the function that reports it, so a failure prints the
-words it evaluated.  The alphabet reads the generators theorem_generators
-lists by the names the report prints: their order only orders the
-report's lists, and a set without a name the alphabet reads raises
-KeyError.  The orbit property is certified by the paper's own words: a
-fixed generator word per curve, applied to a_1 and compared with the
-curve's class, so it needs no search and always decides pass or fail.
+Each check is one entry of CHECKS, a report section with its least
+genus, whether it needs a prime, its run and its text lines:
+full_theorem_report selects, validates and runs the entries, and the
+text report and the CLI read the same table.  Each identity is a pair of
+words, evaluated by words.equation over alphabet(g) in the function that
+reports it, so a failure prints the words it evaluated.  The alphabet
+reads the generators theorem_generators lists by the names the report
+prints: their order only orders the report's lists, and a set without a
+name the alphabet reads raises KeyError.  The orbit property is
+certified by the paper's own words: a fixed generator word per curve,
+applied to a_1 and compared with the curve's class, so it needs no
+search and always decides pass or fail.
 
 The mod-p certificate is exact order when p = 2 and |Sp(2g, 2)| is at
 most EXACT_ORDER_LIMIT, which for g >= 3 holds at g = 3 alone:
@@ -47,8 +51,6 @@ HOMOLOGY_CAVEAT = (
     "necessary conditions; statements inside the Torelli kernel are out of scope"
 )
 
-
-CHECK_NAMES = ("relations", "torsion", "theorem", "modp")
 
 # the largest |Sp(2g, p)| certified by exact order
 EXACT_ORDER_LIMIT = 2_000_000
@@ -409,109 +411,160 @@ def convention_record(g):
     return record
 
 
+class Check(Frozen):
+    """One report section: the least genus it runs at, whether it needs the prime,
+    run(g, prime, with_witnesses), which returns the section with its "passed",
+    and text(section), which yields the section's lines of the text report.
+    A run calls the checks it makes through this module's globals, which the
+    benchmark tracer rebinds, so a Check holds none of them itself."""
+
+    def __init__(self, min_genus, needs_prime, run, text):
+        self._set_fields(min_genus=min_genus, needs_prime=needs_prime, run=run, text=text)
+
+
+def _status(section):
+    return "ok" if section["passed"] else "FAIL"
+
+
+def _identity_text(det):
+    """The two sides of a failing identity: each side's word, if it has one, and matrix."""
+    yield f"    lhs: {det['lhs_word']} = {det['lhs_matrix']}"
+    rhs_word = f"{det['rhs_word']} = " if "rhs_word" in det else ""
+    yield f"    rhs: {rhs_word}{det['rhs_matrix']}"
+
+
+def _relations(g, prime, with_witnesses):
+    verdicts = relation_suite(g)
+    return {"passed": all(v.passed for v in verdicts), "count": len(verdicts),
+            "failures": [v.to_dict() for v in verdicts if not v.passed]}
+
+
+def _relations_text(section):
+    yield f"[relations] {_status(section)}: {section['count']} checks"
+    for failure in section["failures"]:
+        yield f"  FAIL {failure['check']}"
+        if "lhs_word" in failure["details"]:
+            yield from _identity_text(failure["details"])
+
+
+def _torsion(g, prime, with_witnesses):
+    """Each listed generator has its claimed order, and f2 f1 has order g."""
+    certs = theorem_generators(g)
+    gens = _by_name(g)
+    failures = [c.name for c in certs
+                if element_order(c.matrix, c.claimed_order) != c.claimed_order]
+    f2f1_order = element_order(gens["f2"] @ gens["f1"], g)
+    section = {"passed": f2f1_order == g and not failures, "generator_count": len(certs),
+               "f2f1_order": f2f1_order, "certificates": [c.to_dict() for c in certs]}
+    if failures:
+        section["order_failures"] = failures
+    return section
+
+
+def _torsion_text(section):
+    yield (f"[torsion] {_status(section)}: {section['generator_count']} generators, "
+           f"order(f2*f1) = {section['f2f1_order']}")
+    if "order_failures" in section:
+        yield f"  order not as claimed: {', '.join(section['order_failures'])}"
+    for cert in section["certificates"]:
+        yield f"  {cert['name']}: order {cert['order']}"
+        action = ", ".join(f"{u} -> {'-' if s < 0 else ''}{v}"
+                           for u, (v, s) in sorted(cert["curve_action"].items()))
+        if action:
+            yield f"    action: {action}"
+
+
+def _theorem(g, prime, with_witnesses):
+    luo = luo_decomposition_check(g)
+    assembly = lantern_assembly_check(g)
+    orbit, _ = property1_orbit_check(g)
+    return {"passed": luo.passed and assembly.passed and orbit.passed, "luo": luo.to_dict(),
+            "lantern_assembly": assembly.to_dict(), "orbit": orbit.to_dict()}
+
+
+def _theorem_text(section):
+    yield f"[theorem] {_status(section)}"
+    for key in ("luo", "lantern_assembly", "orbit"):
+        sub = section[key]
+        yield f"  {sub['check']}: {sub['status']}"
+        if sub["status"] == "fail" and "lhs_word" in sub["details"]:
+            yield from _identity_text(sub["details"])
+    det = section["orbit"]["details"]
+    reached, missing = len(det["witnesses"]), det["missing"]
+    yield (f"    {reached} of {reached + len(missing)} curves reached "
+           "from a1 by the generator words")
+    if missing:
+        yield f"    missing: {', '.join(missing)}"
+
+
+def _modp(g, prime, with_witnesses):
+    return modp_certificate(g, prime, with_witnesses)
+
+
+def _modp_text(section):
+    yield f"[modp] {_status(section)}: p = {section['p']}, mode = {section['mode']}"
+    if section["mode"] == "exact-order":
+        yield (f"  expected order {section['expected_order']}, "
+               f"torsion image order {section['torsion_order']}, "
+               f"twist image order {section['lickorish_order']}, "
+               f"same subgroup: {section['same_subgroup']}")
+    else:
+        orbit = section["orbit"]
+        yield (f"  transitive on nonzero vectors: {section['transitive']} "
+               f"({orbit['orbit_size']} of {orbit['nonzero_vectors']})")
+
+
+# the report's sections, in report order
+CHECKS = {
+    "relations": Check(2, False, _relations, _relations_text),
+    "torsion": Check(3, False, _torsion, _torsion_text),
+    "theorem": Check(3, False, _theorem, _theorem_text),
+    "modp": Check(3, True, _modp, _modp_text),
+}
+
+
 def full_theorem_report(g, prime=None, with_witnesses=False, checks=None):
     """Aggregate report for one genus; returns (report_dict, timings_dict).
 
-    checks is a nonempty collection of CHECK_NAMES; None means every
-    applicable check (modp only when a prime is given).  Raises ValueError
-    before any check runs: first when checks names an unknown check (the
-    first one in its order) or none, then when g < 2, when the selection
-    needs a larger genus or a prime, when a prime is given without the
-    modp check, when no mod-p certificate can decide (certificate_mode is
-    None), or when with_witnesses is set and no exact-order certificate
-    runs.
+    checks is a nonempty collection of names of CHECKS; None selects each
+    check with min_genus <= g that needs no prime, or needs one and is
+    given it.  Raises ValueError before any check runs: first when checks
+    names an unknown check (the first one in its order) or none, then when
+    g < 2, when a selected check needs a larger genus, when one needs a
+    prime and none is given, when a prime is given and none needs it, when
+    no mod-p certificate can decide (certificate_mode is None), or when
+    with_witnesses is set and no exact-order certificate runs.  The
+    selected checks then run, each timed, in the order of CHECKS.
     """
     if checks is not None:
-        unknown = [name for name in checks if name not in CHECK_NAMES]
+        unknown = [name for name in checks if name not in CHECKS]
         if unknown:
-            raise ValueError(f"unknown check {unknown[0]!r}; choose from {CHECK_NAMES}")
+            raise ValueError(f"unknown check {unknown[0]!r}; choose from {tuple(CHECKS)}")
         if not checks:
             raise ValueError("no checks selected")
-        checks = set(checks)
     if g < 2:
         raise ValueError(f"genus must be >= 2, got {g}")
     if checks is None:
-        # all applicable: the torsion sets and the theorem need genus >= 3
-        checks = {"relations"}
-        if g >= 3:
-            checks |= {"torsion", "theorem"}
-            if prime is not None:
-                checks.add("modp")
-    needs_torsion = checks & {"torsion", "theorem", "modp"}
-    if needs_torsion and g < 3:
-        raise ValueError(
-            f"checks {sorted(needs_torsion)} need genus >= 3 "
-            f"(the theorem hypothesis); got {g}"
-        )
-    if "modp" in checks and prime is None:
-        raise ValueError("modp check requested without a prime")
-    if "modp" not in checks and prime is not None:
-        raise ValueError(f"prime {prime} given without the modp check")
+        checks = [name for name, check in CHECKS.items()
+                  if g >= check.min_genus and (prime is not None or not check.needs_prime)]
+    selected = {name: check for name, check in CHECKS.items() if name in checks}
+    too_small = sorted(name for name, check in selected.items() if g < check.min_genus)
+    if too_small:
+        least = max(CHECKS[name].min_genus for name in too_small)
+        raise ValueError(f"checks {too_small} need genus >= {least} "
+                         f"(the theorem hypothesis); got {g}")
+    needs_prime = any(check.needs_prime for check in selected.values())
+    if needs_prime != (prime is not None):
+        raise ValueError("modp check requested without a prime" if needs_prime
+                         else f"prime {prime} given without the modp check")
     _require_certificate(g, prime, with_witnesses)
 
-    report = {
-        "schema": "mcgtorsion-report/2",
-        "genus": g,
-        "convention": convention_record(g),
-        "note": HOMOLOGY_CAVEAT,
-        "checks": {},
-    }
+    report = {"schema": "mcgtorsion-report/2", "genus": g, "convention": convention_record(g),
+              "note": HOMOLOGY_CAVEAT, "checks": {}}
     timings = {}
-    passed = True
-
-    if "relations" in checks:
+    for name, check in selected.items():
         t0 = perf_counter()
-        verdicts = relation_suite(g)
-        ok = all(v.passed for v in verdicts)
-        report["checks"]["relations"] = {
-            "passed": ok,
-            "count": len(verdicts),
-            "failures": [v.to_dict() for v in verdicts if not v.passed],
-        }
-        timings["relations"] = perf_counter() - t0
-        passed &= ok
-
-    if "torsion" in checks:
-        certs = theorem_generators(g)
-        gens = _by_name(g)
-        t0 = perf_counter()
-        order_failures = [c.name for c in certs
-                          if element_order(c.matrix, c.claimed_order) != c.claimed_order]
-        f2f1_order = element_order(gens["f2"] @ gens["f1"], g)
-        ok = f2f1_order == g and not order_failures
-        section = {
-            "passed": ok,
-            "generator_count": len(certs),
-            "f2f1_order": f2f1_order,
-            "certificates": [c.to_dict() for c in certs],
-        }
-        if order_failures:
-            section["order_failures"] = order_failures
-        report["checks"]["torsion"] = section
-        timings["torsion"] = perf_counter() - t0
-        passed &= ok
-
-    if "theorem" in checks:
-        t0 = perf_counter()
-        luo = luo_decomposition_check(g)
-        assembly = lantern_assembly_check(g)
-        orbit_verdict, _ = property1_orbit_check(g)
-        ok = luo.passed and assembly.passed and orbit_verdict.passed
-        report["checks"]["theorem"] = {
-            "passed": ok,
-            "luo": luo.to_dict(),
-            "lantern_assembly": assembly.to_dict(),
-            "orbit": orbit_verdict.to_dict(),
-        }
-        timings["theorem"] = perf_counter() - t0
-        passed &= ok
-
-    if "modp" in checks:
-        t0 = perf_counter()
-        section = modp_certificate(g, prime, with_witnesses=with_witnesses)
-        report["checks"]["modp"] = section
-        timings["modp"] = perf_counter() - t0
-        passed &= section["passed"]
-
-    report["passed"] = passed
+        report["checks"][name] = check.run(g, prime, with_witnesses)
+        timings[name] = perf_counter() - t0
+    report["passed"] = all(section["passed"] for section in report["checks"].values())
     return report, timings

@@ -16,7 +16,7 @@ from mcgtorsion.theorem import (
 )
 from mcgtorsion.torsion import theorem_generators
 
-from conftest import drop_generator, ident, mm, orbit_bitmap, vector_orbit_oracle
+from conftest import ident, mm, orbit_bitmap, vector_orbit_oracle
 
 
 def _twists(g, names=None):
@@ -179,30 +179,6 @@ def test_elimination_ops_of_signed_permutations_are_swaps_and_scalings():
 def test_elimination_rejects_singular_matrix(m, p):
     with pytest.raises(ValueError, match="singular"):
         _elimination_ops(m, p)
-
-
-@pytest.mark.parametrize("g", (4, 6, 8))
-def test_transitivity_negative_control_without_f3(g, monkeypatch):
-    # f1, f2 and Ta1 f2 Ta1^-1 only permute a_1 .. a_g up to sign
-    mats = [reduce_mod_p(c.matrix, 2) for c in drop_generator(monkeypatch, g, "f3")]
-    assert _vector_orbit(mats, 2).bit_count() == g
-    section = modp_certificate(g, 2)
-    assert section["mode"] == "transitivity"
-    assert section["orbit"] == {"orbit_size": g, "nonzero_vectors": 2 ** (2 * g) - 1}
-    assert not section["transitive"]
-    assert not section["passed"]
-
-
-@pytest.mark.parametrize("g,size", [(3, 24), (4, 8), (5, 10)])
-def test_transitivity_negative_control_without_f3_mod3(g, size, monkeypatch):
-    # mod 3 the a_i keep their signs apart: 2g vectors at g >= 4; at g = 3,
-    # where sigma^-1 f1 sigma joins, the nonzero vectors of each handle, 3 x 8
-    drop_generator(monkeypatch, g, "f3")
-    section = modp_certificate(g, 3)
-    assert section["mode"] == "transitivity"
-    assert section["orbit"] == {"orbit_size": size, "nonzero_vectors": 3 ** (2 * g) - 1}
-    assert not section["transitive"]
-    assert not section["passed"]
 
 
 def test_modp_certificate_mod3_g6():

@@ -1,5 +1,5 @@
 """The record classes: immutability, HomologyClass value semantics, and an
-import of the CLI that stays clear of dataclasses, inspect and tempfile."""
+import of the CLI that stays clear of dataclasses, inspect, tempfile and typing."""
 
 import os
 import subprocess
@@ -14,7 +14,7 @@ from mcgtorsion.curves import (
     lickorish_system,
 )
 from mcgtorsion.symplectic import HomologyClass, alpha, reduce_mod_p
-from mcgtorsion.theorem import OrbitSet, property1_orbit_check
+from mcgtorsion.theorem import CHECKS, OrbitSet, property1_orbit_check
 from mcgtorsion.torsion import TorsionCertificate, build_f1
 from mcgtorsion.words import Verdict
 
@@ -34,6 +34,7 @@ def _records():
         "Verdict": Verdict("x", "pass"),
         "OrbitSet": property1_orbit_check(g)[1],
         "ClosureResult": kernels.modp_closure(twists, 2),
+        "Check": CHECKS["relations"],
     }
 
 
@@ -41,7 +42,7 @@ def _records():
 def test_records_are_immutable(name):
     record = _records()[name]
     assert type(record).__name__ == name
-    field = next(f for f in ("genus", "name", "check", "p") if hasattr(record, f))
+    field = next(f for f in ("genus", "name", "check", "p", "min_genus") if hasattr(record, f))
     before = getattr(record, field)
     with pytest.raises(AttributeError):
         setattr(record, field, before)
@@ -74,10 +75,11 @@ def test_details_and_notes_default_to_fresh_dicts():
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    # tempfile (with random, shutil, bz2 and lzma) is loaded only by --out.
+    # tempfile (with random, shutil, bz2 and lzma) is loaded only by --out;
+    # typing and dataclasses each cost milliseconds of every process's start-up.
     # -S skips site-packages' .pth start-up hooks, which may import it themselves.
     code = ("import sys, mcgtorsion.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'tempfile'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'tempfile', 'typing'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=env, check=True)

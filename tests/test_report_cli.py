@@ -91,9 +91,9 @@ def test_cli_unknown_check_rejected():
 @pytest.mark.parametrize("checks, message", [
     (set(), "no checks selected"),
     ([], "no checks selected"),
-    ({"bogus"}, f"unknown check 'bogus'; choose from {theorem.CHECK_NAMES}"),
+    ({"bogus"}, f"unknown check 'bogus'; choose from {tuple(theorem.CHECKS)}"),
     (["relations", "bogus", "nonsense"],
-     f"unknown check 'bogus'; choose from {theorem.CHECK_NAMES}"),
+     f"unknown check 'bogus'; choose from {tuple(theorem.CHECKS)}"),
 ])
 def test_full_theorem_report_owns_the_check_set(checks, message, monkeypatch):
     def no_check(*args, **kwargs):
@@ -109,8 +109,8 @@ def test_full_theorem_report_owns_the_check_set(checks, message, monkeypatch):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("bogus", f"error: unknown check 'bogus'; choose from {theorem.CHECK_NAMES}"),
-    ("theorem, bogus,nonsense", f"error: unknown check 'bogus'; choose from {theorem.CHECK_NAMES}"),
+    ("bogus", f"error: unknown check 'bogus'; choose from {tuple(theorem.CHECKS)}"),
+    ("theorem, bogus,nonsense", f"error: unknown check 'bogus'; choose from {tuple(theorem.CHECKS)}"),
     (",", "error: no checks selected"),
     (" , ", "error: no checks selected"),
 ])
@@ -119,6 +119,30 @@ def test_cli_check_set_errors_are_one_line(text, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [message]
+
+
+def test_a_check_registered_in_checks_alone_runs_everywhere(monkeypatch, capsys):
+    # one throwaway entry and no other patch: the selection, the CLI's help and
+    # errors, the default run, the timings, the text report and the control
+    # table's verdict kinds all read CHECKS
+    import test_controls
+
+    monkeypatch.setitem(theorem.CHECKS, "extra", theorem.Check(
+        2, False, lambda g, prime, with_witnesses: {"passed": True, "holds": True},
+        lambda section: [f"[extra] holds: {section['holds']}"]))
+    names = ("relations", "torsion", "theorem", "modp", "extra")
+    assert ",".join(names) in cli.build_parser().format_help()
+    assert cli.main(["--genus", "4", "--checks", "bogus"]) == 2
+    assert capsys.readouterr().err == f"error: unknown check 'bogus'; choose from {names}\n"
+    assert cli.main(["--genus", "2", "--checks", "extra"]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:-1] == ["[extra] holds: True", "RESULT: PASS"]
+    assert list(full_theorem_report(2)[0]["checks"]) == ["relations", "extra"]
+    report, timings = full_theorem_report(4)
+    assert list(report["checks"]) == list(timings) == ["relations", "torsion", "theorem", "extra"]
+    assert "[extra] holds: True" in report_mod.emit_text(report_mod.envelope(report, timings))
+    kinds = {test_controls.kind(v) for v in test_controls.verdicts(report)}
+    rows = {test_controls.kind(v) for row in test_controls.ROWS for v in row.fails}
+    assert "extra:holds" in kinds - rows
 
 
 def test_cli_main_freezes_the_start_up_heap(capsys):
